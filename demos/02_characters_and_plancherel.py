@@ -25,14 +25,12 @@ for lam in partitions(4):
 group = cached_group("wreath:3")
 labels = irrep_labels(group)
 table = character_table(group)
-classes = group.conjugacy_classes()
 
 print(f"\n{group.spec}: {len(labels)} irreps, order {group.order}")
 print(f"sum of squared dims: {sum(label_dim(l) ** 2 for l in labels)}")
 
 M = involution_class(group)
-pos = next(i for i, c in enumerate(classes)
-           if c.representative == M.representative)
+pos = group.class_position(M.representative)
 print(f"\nnormalized characters at the swap class (size {M.size}):")
 for lab in labels:
     chi = table[lab][pos]

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BoundUndefinedError, CapExceededError, GroupMismatchError
 from .groups import ConjugacyClass, FiniteGroup, cached_group, involution_class
-from .irreps import character_table, group_irreps, irrep_labels, label_dim, label_str
+from .irreps import group_irreps, irrep_labels, label_dim, label_str
 from .oracle import exact_tv
 from .parallel import kahan_sum, ordered_map
 from .rng import CounterRng
@@ -51,8 +51,9 @@ from .sampling import (
     HiddenSubgroup,
     MeasurementBasis,
     RegisterTuple,
-    _apply_per_register,
     multiregister_dist,
+    normalized_characters,
+    projected_masses,
     weak_dist,
     weak_dist_tuples,
     weak_rank,
@@ -85,23 +86,6 @@ class BadSet:
     def label_strings(self) -> tuple[str, ...]:
         ordered = [l for l in irrep_labels(self.group) if l in self.labels]
         return tuple(label_str(l) for l in ordered)
-
-
-def _normalized_characters(group: FiniteGroup, M: ConjugacyClass) -> dict:
-    """label -> |chi(M)| / d as an exact Fraction."""
-    classes = group.conjugacy_classes()
-    pos = None
-    for i, c in enumerate(classes):
-        if c is M or c.representative == M.representative:
-            pos = i
-            break
-    if pos is None:
-        raise GroupMismatchError("class does not belong to the group")
-    table = character_table(group)
-    return {
-        lab: Fraction(abs(table[lab][pos]), label_dim(lab))
-        for lab in irrep_labels(group)
-    }
 
 
 def cutoff_labels(group: FiniteGroup, n: int) -> frozenset:
@@ -138,8 +122,8 @@ def build_bad_set(group: FiniteGroup, M: ConjugacyClass, rule) -> BadSet:
                 raise ValueError(f"label {label_str(lab)} is not an irrep of {group.spec}")
             picked.add(lab)
         labels = frozenset(picked)
-    normalized = _normalized_characters(group, M)
-    outside = [normalized[l] for l in irrep_labels(group) if l not in labels]
+    ratios = normalized_characters(group, M)
+    outside = [abs(r) for l, r in zip(irrep_labels(group), ratios) if l not in labels]
     lam = max(outside) if outside else Fraction(0)
     mass = sum(
         (Fraction(label_dim(l) ** 2, group.order) for l in labels), Fraction(0)
@@ -217,22 +201,15 @@ class EnumerationStats:
     triple_values: tuple[float, ...]
 
 
-def _tuple_masses(dims, projs, basis_mat: np.ndarray) -> np.ndarray:
-    D = basis_mat.shape[0]
-    block = basis_mat.reshape(dims + (D,))
-    block = _apply_per_register(block, projs)
-    return np.sum(np.abs(block.reshape(D, D)) ** 2, axis=0)
+def _member_projectors(rep, members) -> np.ndarray:
+    """(len(members), d, d) stack of (I + rep(m)) / 2 for the element
+    indices in members."""
+    return 0.5 * (np.eye(rep.dim) + rep.stack[members])
 
 
-def _tuple_task(group, M, reps, ranks, trials, seed, tuple_idx, k):
-    dims = tuple(r.dim for r in reps)
-    D = prod(dims)
-    rank_total = prod(ranks)
-    projs_per_m = [
-        {i: 0.5 * (np.eye(r.dim) + r.matrix(m)) for i, r in enumerate(reps)}
-        for m in M.members
-    ]
-    n_m = len(projs_per_m)
+def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
+    D = prod(p.shape[-1] for p in projs)
+    n_m = len(projs[0])
     exp_tv = np.empty(trials)
     full_tv = np.empty(trials)
     var_ = np.empty(trials)
@@ -240,9 +217,7 @@ def _tuple_task(group, M, reps, ranks, trials, seed, tuple_idx, k):
     triples = []
     for t in range(trials):
         basis = CounterRng(seed, "bases", tuple_idx, t).haar_basis(D)
-        raw = np.empty((n_m, D))
-        for mi, projs in enumerate(projs_per_m):
-            raw[mi] = _tuple_masses(dims, projs, basis)
+        raw = projected_masses(projs, basis)
         mean_raw = raw.mean(axis=0)
         var_[t] = np.mean(np.mean((raw - mean_raw) ** 2, axis=0))
         dev[t] = np.mean(np.abs(mean_raw - 0.5 ** k))
@@ -273,25 +248,23 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
         raise CapExceededError(
             f"{len(labels)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
         )
-    reps_by_label = {r.label: r for r in group_irreps(group, cache_dir)}
     hidden = HiddenSubgroup(group, M.representative)
-    planch = {l: Fraction(label_dim(l) ** 2, group.order) for l in labels}
-    hweight = {
-        l: Fraction(label_dim(l) * 2 * weak_rank(group, l, hidden), group.order)
-        for l in labels
-    }
-    tuples = list(itertools.product(labels, repeat=k))
+    planch = weak_dist(group, HiddenSubgroup(group)).exact_values()
+    hweight = weak_dist(group, hidden).exact_values()
+    ranks = [weak_rank(group, l, hidden) for l in labels]
+    members = [group.index(m) for m in M.members]
+    projs = [_member_projectors(rep, members) for rep in group_irreps(group, cache_dir)]
+    tuples = list(itertools.product(range(len(labels)), repeat=k))
     for tup in tuples:
-        if prod(label_dim(l) for l in tup) > tensor_cap:
+        if prod(label_dim(labels[i]) for i in tup) > tensor_cap:
             raise CapExceededError(
-                f"tuple {tuple(label_str(l) for l in tup)} exceeds tensor cap"
+                f"tuple {tuple(label_str(labels[i]) for i in tup)} exceeds tensor cap"
             )
 
     def run(args):
         idx, tup = args
-        reps = tuple(reps_by_label[l] for l in tup)
-        ranks = tuple(weak_rank(group, l, hidden) for l in tup)
-        return _tuple_task(group, M, reps, ranks, trials, seed, idx, k)
+        return _tuple_task([projs[i] for i in tup], prod(ranks[i] for i in tup),
+                           trials, seed, idx, k)
 
     results = ordered_map(run, list(enumerate(tuples)), threads=threads)
 
@@ -299,8 +272,8 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     weights_p = []
     weights_h = []
     for tup, res in zip(tuples, results):
-        wp = prod((planch[l] for l in tup), start=Fraction(1))
-        wh = prod((hweight[l] for l in tup), start=Fraction(1))
+        wp = prod((planch[i] for i in tup), start=Fraction(1))
+        wh = prod((hweight[i] for i in tup), start=Fraction(1))
         weights_p.append(float(wp))
         weights_h.append(float(wh))
         if res[5] == 0:
@@ -362,36 +335,31 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     the Plancherel measure, m uniform in M, basis Haar-seeded.  Returns the
     per-triple L1 distances to uniform (pessimal 2 on zero-rank tuples)."""
     labels = irrep_labels(group)
-    reps_by_label = {r.label: r for r in group_irreps(group, cache_dir)}
+    reps = group_irreps(group, cache_dir)
     hidden = HiddenSubgroup(group, M.representative)
-    weights = np.array(
-        [float(Fraction(label_dim(l) ** 2, group.order)) for l in labels]
-    )
-    cum = np.cumsum(weights)
+    cum = np.cumsum(weak_dist(group, HiddenSubgroup(group)).values())
+    ranks = [weak_rank(group, l, hidden) for l in labels]
     values = []
     zero_hits = 0
     for t in range(trials):
         rng = CounterRng(seed, "sampled", t)
         picks = rng.floats01(0, k)
-        tup = tuple(
-            labels[min(int(np.searchsorted(cum, u, side="right")), len(labels) - 1)]
+        tup = [
+            min(int(np.searchsorted(cum, u, side="right")), len(labels) - 1)
             for u in picks
-        )
-        D = prod(label_dim(l) for l in tup)
+        ]
+        D = prod(reps[i].dim for i in tup)
         if D > tensor_cap:
             raise CapExceededError("sampled tuple exceeds tensor cap")
-        ranks = [weak_rank(group, l, hidden) for l in tup]
-        m = M.members[rng.index(k, M.size)]
-        if prod(ranks) == 0:
+        rank_total = prod(ranks[i] for i in tup)
+        m = group.index(M.members[rng.index(k, M.size)])
+        if rank_total == 0:
             values.append(PESSIMAL_TV)
             zero_hits += 1
             continue
-        reps = tuple(reps_by_label[l] for l in tup)
-        dims = tuple(r.dim for r in reps)
         basis = rng.sub("basis").haar_basis(D)
-        projs = {i: 0.5 * (np.eye(r.dim) + r.matrix(m)) for i, r in enumerate(reps)}
-        masses = _tuple_masses(dims, projs, basis)
-        probs = masses / prod(ranks)
+        projs = [_member_projectors(reps[i], [m]) for i in tup]
+        probs = projected_masses(projs, basis)[0] / rank_total
         values.append(float(np.sum(np.abs(probs - 1.0 / D))))
     return SampledStats(trials, tuple(values), zero_hits)
 

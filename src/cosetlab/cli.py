@@ -534,8 +534,7 @@ def _lemma_induced(args) -> list:
         # the diagonal labels on flip elements
         M = involution_class(group)
         table = character_table(group)
-        pos = [i for i, c in enumerate(classes)
-               if c.representative == M.representative][0]
+        pos = group.class_position(M.representative)
         for rep in group_irreps(group, _cache_dir(args)):
             lab = rep.label
             chi = Fraction(table[lab][pos], label_dim(lab))
@@ -696,7 +695,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--trials", type=int, default=25)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP)
     _add_output_flags(p)
     _add_cache_flags(p)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -32,6 +33,8 @@ from .errors import (
 )
 
 DEFAULT_ELEMENT_CAP = 50_000
+_CYCLE = re.compile(r"\(([^()]*)\)")
+_CYCLES = re.compile(r"(?:\([^()]*\)\s*)+")
 
 
 @dataclass(frozen=True)
@@ -119,28 +122,23 @@ def parse_cycles(text: str, n: int) -> Permutation:
 
     Inside each parenthesized cycle, points may be separated by spaces or
     commas; a bare digit string like "(012)" is read one character at a time,
-    which is unambiguous for n <= 10.
+    which is unambiguous for n <= 10.  Every "(" must be closed by a ")"
+    before the next cycle opens.
     """
-    t = text.strip().replace(" ", " ")
+    t = text.strip()
     if t in ("", "()", "e"):
         return Permutation.identity(n)
-    images = list(range(n))
-    depth_chunks = []
     if not t.startswith("("):
         raise ValueError(f"expected cycle notation like (01), got {text!r}")
-    for chunk in t.split(")"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if not chunk.startswith("("):
-            raise ValueError(f"unbalanced parentheses in {text!r}")
-        body = chunk[1:].strip()
+    if not _CYCLES.fullmatch(t):
+        raise ValueError(f"unbalanced parentheses in {text!r}")
+    images = list(range(n))
+    for body in _CYCLE.findall(t):
+        body = body.strip()
         if "," in body or " " in body:
             pts = [int(p) for p in body.replace(",", " ").split()]
         else:
             pts = [int(ch) for ch in body]
-        depth_chunks.append(pts)
-    for pts in depth_chunks:
         if len(set(pts)) != len(pts):
             raise ValueError(f"repeated point in cycle {pts}")
         for p in pts:
@@ -384,6 +382,10 @@ class FiniteGroup:
                 [pos[id(self.class_of(g))] for g in self.elements], dtype=np.int32
             )
         return self._class_indices
+
+    def class_position(self, g) -> int:
+        """Index in conjugacy_classes() of the class containing g."""
+        return int(self.class_indices()[self.index(g)])
 
 
 class SymmetricGroup(FiniteGroup):

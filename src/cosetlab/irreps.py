@@ -247,14 +247,7 @@ class Irrep(MatrixRep):
         return self.dim
 
     def character(self, g) -> int:
-        return self.characters[int(self.group.class_indices()[self.group.index(g)])]
-
-    def character_of_class(self, cls) -> int:
-        classes = self.group.conjugacy_classes()
-        for i, c in enumerate(classes):
-            if c is cls:
-                return self.characters[i]
-        raise GroupMismatchError("class does not belong to this irrep's group")
+        return self.characters[self.group.class_position(g)]
 
     def check(self, eps: float = EPS, pair_budget: int = 2000) -> None:
         super().check(eps, pair_budget)

@@ -166,15 +166,6 @@ def brute_multiregister_moments(registers, b: np.ndarray, M: ConjugacyClass):
     return mean, var
 
 
-def brute_group_average_overlap_sq(rep, b: np.ndarray) -> float:
-    """Exact average over ALL group elements of |<b, rep(g) b>|^2.
-
-    Uses the rep's own matrices (the average runs over the whole group, so a
-    word product per element would recompute the same stack)."""
-    overlaps = np.einsum("i,gij,j->g", b.conj(), rep.stack, b)
-    return float(np.mean(np.abs(overlaps) ** 2))
-
-
 def brute_induced_rep(n: int, rho, sigma) -> MatrixRep:
     """The W(n) representation induced from rho (x) sigma on the flip-0
     subgroup, with coset representatives {identity, s}.

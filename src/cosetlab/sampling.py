@@ -226,32 +226,13 @@ def projector_rank(mat: np.ndarray) -> int:
     return round(t.real)
 
 
-def _class_position(group: FiniteGroup, cls: ConjugacyClass) -> int:
-    for i, c in enumerate(group.conjugacy_classes()):
-        if c is cls or c.representative == cls.representative:
-            return i
-    raise GroupMismatchError("conjugacy class does not belong to this group")
-
-
-def _check_involution_class(group: FiniteGroup, M: ConjugacyClass) -> int:
-    if M.group.spec != group.spec:
-        raise GroupMismatchError(
-            f"class over {M.group.spec} used with group {group.spec}"
-        )
-    e = group.elements[0]
-    rep = M.representative
-    if rep == e or rep * rep != e:
-        raise ValueError(f"class of {rep} is not a class of involutions")
-    return _class_position(group, M)
-
-
 def weak_rank(group: FiniteGroup, label, hidden: HiddenSubgroup) -> int:
     """rank of Pi_H inside the irrep, exactly: d for trivial H, else
     (d + chi(m)) / 2."""
     d = label_dim(label)
     if hidden.trivial:
         return d
-    chi = character_table(group)[label][_class_position(group, group.class_of(hidden.m))]
+    chi = character_table(group)[label][group.class_position(hidden.m)]
     rank = Fraction(d + chi, 2)
     assert rank.denominator == 1 and rank >= 0, (label, rank)
     return int(rank)
@@ -308,7 +289,7 @@ def strong_dist(rep: Irrep, hidden: HiddenSubgroup,
             f"{rep.name}: Pi_H has rank 0 for m = {hidden.m}; "
             "this label never survives the weak stage"
         )
-    masses = np.sum(np.abs(proj @ basis.vectors) ** 2, axis=0)
+    masses = projected_masses([proj[None]], basis.vectors)[0]
     outcomes = tuple(
         (labels[j], float(masses[j] / rank)) for j in range(rep.dim)
     )
@@ -318,10 +299,23 @@ def strong_dist(rep: Irrep, hidden: HiddenSubgroup,
     )
 
 
-def _apply_per_register(tensor: np.ndarray, mats: dict[int, np.ndarray]) -> np.ndarray:
-    for axis, mat in mats.items():
-        tensor = np.moveaxis(np.tensordot(mat, tensor, axes=(1, axis)), 0, axis)
-    return tensor
+def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
+    """||(P_0[w] (x) ... (x) P_{k-1}[w]) b_j||^2 for every w and every basis
+    column b_j.
+
+    projectors holds one (W, d_i, d_i) stack per register; basis is the
+    (D, D) matrix of columns with D the product of the d_i.  Returns the
+    (W, D) masses, one batched matrix product per register.
+    """
+    D = basis.shape[0]
+    block = basis
+    lead = 1
+    for proj in projectors:
+        d = proj.shape[-1]
+        # register i is axis 2 of the (W, d_0 * ... * d_{i-1}, d_i, rest) view
+        block = proj[:, None] @ block.reshape(-1, lead, d, D * D // (lead * d))
+        lead *= d
+    return np.sum(np.abs(block.reshape(-1, D, D)) ** 2, axis=1)
 
 
 def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
@@ -337,7 +331,7 @@ def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
             labels, "multiregister", group.spec, "trivial",
             registers=registers.labels,
         )
-    projs = {}
+    projs = []
     rank_total = 1
     for i, rep in enumerate(registers.irreps):
         proj = subgroup_projector(rep, hidden)
@@ -346,11 +340,9 @@ def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
             raise ZeroRankError(
                 f"register {i} ({rep.name}): Pi_H has rank 0 for m = {hidden.m}"
             )
-        projs[i] = proj
+        projs.append(proj[None])
         rank_total *= rank
-    block = basis.vectors.reshape(registers.dims + (D,))
-    block = _apply_per_register(block, projs)
-    masses = np.sum(np.abs(block.reshape(D, D)) ** 2, axis=0)
+    masses = projected_masses(projs, basis.vectors)[0]
     outcomes = tuple((labels[j], float(masses[j] / rank_total)) for j in range(D))
     return SamplingDistribution(
         "multiregister", group.spec, hidden.descriptor(), outcomes,
@@ -403,11 +395,13 @@ def _subset_overlap_buckets(registers: RegisterTuple, subset,
         stack = _subset_stack(registers, subset)
         per = np.einsum("i,gij,j->g", b.conj(), stack, b)
     else:
-        bt = b.reshape(registers.dims)
         per = np.empty(group.order, dtype=np.complex128)
         for gi in range(group.order):
-            mats = {i: registers.irreps[i].stack[gi] for i in subset}
-            per[gi] = np.vdot(b, _apply_per_register(bt, mats).reshape(-1))
+            v = b.reshape(registers.dims)
+            for i in subset:
+                mat = registers.irreps[i].stack[gi]
+                v = np.moveaxis(np.tensordot(mat, v, axes=(1, i)), 0, i)
+            per[gi] = np.vdot(b, v.reshape(-1))
     return _bucket_by_class(group, per)
 
 
@@ -462,32 +456,39 @@ def doubled_isotypic_masses(registers: RegisterTuple, first, second,
 # ---------------------------------------------------------------------------
 # Interference functionals over a class of involutions
 
-def _class_coefficients(group: FiniteGroup, M: ConjugacyClass) -> dict[str, Fraction]:
-    """chi_sigma(M) / d_sigma per label, exact; zero entries dropped."""
-    pos = _check_involution_class(group, M)
+def normalized_characters(group: FiniteGroup, M: ConjugacyClass) -> tuple[Fraction, ...]:
+    """chi_sigma(M) / d_sigma for every irrep sigma, exact, in irrep_labels
+    order (the key order of the isotypic mass dicts).  M must be a class of
+    involutions of the group."""
+    if M.group.spec != group.spec:
+        raise GroupMismatchError(
+            f"class over {M.group.spec} used with group {group.spec}"
+        )
+    e = group.elements[0]
+    rep = M.representative
+    if rep == e or rep * rep != e:
+        raise ValueError(f"class of {rep} is not a class of involutions")
+    pos = group.class_position(rep)
     table = character_table(group)
-    out = {}
-    for lab in irrep_labels(group):
-        chi = table[lab][pos]
-        if chi:
-            out[label_str(lab)] = Fraction(chi, label_dim(lab))
-    return out
+    return tuple(
+        Fraction(table[lab][pos], label_dim(lab)) for lab in irrep_labels(group)
+    )
 
 
 def subset_expectation(registers: RegisterTuple, b: np.ndarray, subset,
                        M: ConjugacyClass) -> float:
     """E^I: the average over m in M of <b, m^I b>, computed spectrally."""
-    coeffs = _class_coefficients(registers.group, M)
+    ratios = normalized_characters(registers.group, M)
     masses = isotypic_masses(registers, subset, b)
-    return float(sum(float(c) * masses[lab] for lab, c in coeffs.items()))
+    return float(sum(float(c) * m for c, m in zip(ratios, masses.values()) if c))
 
 
 def doubled_expectation(registers: RegisterTuple, b: np.ndarray, first, second,
                         M: ConjugacyClass) -> float:
     """E^{I1,I2}: the doubled-space analogue on b (x) conj(b)."""
-    coeffs = _class_coefficients(registers.group, M)
+    ratios = normalized_characters(registers.group, M)
     masses = doubled_isotypic_masses(registers, first, second, b)
-    return float(sum(float(c) * masses[lab] for lab, c in coeffs.items()))
+    return float(sum(float(c) * m for c, m in zip(ratios, masses.values()) if c))
 
 
 @dataclass(frozen=True)
@@ -570,13 +571,6 @@ def multiregister_expectation(registers: RegisterTuple, b: np.ndarray,
                 f"spectral mean {mean!r} != brute mean {brute!r}"
             )
     return float(mean)
-
-
-def multiregister_variance_bound(registers: RegisterTuple, b: np.ndarray,
-                                 M: ConjugacyClass, check: bool = True) -> float:
-    """4^-k sum over nonempty I1, I2 of E^{I1,I2}; an upper bound on the
-    variance of the measured mass (the subtracted square is nonnegative)."""
-    return interference_moments(registers, b, M, check=check).variance_bound
 
 
 # ---------------------------------------------------------------------------

@@ -143,8 +143,9 @@ def test_class_equation(spec):
     grp = group_from_spec(spec)
     classes = grp.conjugacy_classes()
     assert sum(c.size for c in classes) == grp.order
-    for cls in classes:
+    for i, cls in enumerate(classes):
         assert isinstance(cls, ConjugacyClass)
+        assert {grp.class_position(g) for g in cls.members} == {i}
         # Closure under conjugation by every group element.
         member_set = set(cls.members)
         for x in grp.elements:
@@ -204,6 +205,12 @@ def test_parse_cycles_forms():
     assert parse_cycles("(0 2)(1 3)", 4) == Permutation((2, 3, 0, 1))
     assert parse_cycles("(0,1,2)", 3) == Permutation((1, 2, 0))
     assert parse_cycles("e", 3) == Permutation.identity(3)
+
+
+@pytest.mark.parametrize("text", ["(0 1 2", "(01)(2", "(01))"])
+def test_parse_cycles_rejects_unbalanced(text):
+    with pytest.raises(ValueError):
+        parse_cycles(text, 3)
 
 
 def test_cycle_type_and_order():

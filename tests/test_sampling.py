@@ -279,6 +279,40 @@ def test_multiregister_k1_equals_strong():
     np.testing.assert_allclose(a.values(), b.values(), atol=1e-12)
 
 
+def test_projected_masses_match_oracle_per_member():
+    """The batched kernel over every m in M, as exact enumeration calls it,
+    against the oracle's per-member Kronecker projectors."""
+    from cosetlab.bounds import _member_projectors
+
+    rng = CounterRng(7, "projected-masses")
+    by_name = {r.name: r for r in group_irreps(W3)}
+    zero_rank = [by_name["([3],-)"], by_name["([2,1],-)"], by_name["([2,1],-)"]]
+    cases = [
+        (S3, S3.class_of(parse_cycles("(01)", 3)), []),
+        (W2, involution_class(W2), []),
+        (W3, involution_class(W3), [zero_rank]),
+    ]
+    for group, M, fixed in cases:
+        reps = group_irreps(group)
+        members = [group.index(m) for m in M.members]
+        tuples = fixed + [
+            [reps[rng.index(4 * t + i, len(reps))] for i in range(1 + t % 3)]
+            for t in range(6)
+        ]
+        for t, tup in enumerate(tuples):
+            D = int(np.prod([r.dim for r in tup]))
+            basis = rng.sub(group.spec, t).haar_basis(D)
+            masses = sampling.projected_masses(
+                [_member_projectors(r, members) for r in tup], basis
+            )
+            assert masses.shape == (M.size, D)
+            for j in range(D):
+                want = oracle.brute_projected_masses(tup, basis[:, j], M)
+                np.testing.assert_allclose(masses[:, j], want, rtol=0, atol=1e-12)
+            if tup is zero_rank:
+                assert np.all(masses == 0.0)
+
+
 # ---------------------------------------------------------------------------
 # Interference functionals
 
