@@ -9,13 +9,7 @@ diagonal labels.  Small-dimensional diagonal labels are the troublemakers.
 from fractions import Fraction
 
 from cosetlab.groups import cached_group, involution_class
-from cosetlab.irreps import (
-    character_table,
-    irrep_labels,
-    label_dim,
-    label_str,
-    plancherel,
-)
+from cosetlab.irreps import character_table, plancherel
 from cosetlab.tableaux import dimension, hook_lengths, partitions
 
 print("partitions of 4, with hook lengths and dimensions:")
@@ -23,19 +17,17 @@ for lam in partitions(4):
     print(f"  {lam}: hooks {hook_lengths(lam)}, dim {dimension(lam)}")
 
 group = cached_group("wreath:3")
-labels = irrep_labels(group)
 table = character_table(group)
+dims = table.dims.tolist()
 
-print(f"\n{group.spec}: {len(labels)} irreps, order {group.order}")
-print(f"sum of squared dims: {sum(label_dim(l) ** 2 for l in labels)}")
+print(f"\n{group.spec}: {len(dims)} irreps, order {group.order}")
+print(f"sum of squared dims: {sum(d ** 2 for d in dims)}")
 
 M = involution_class(group)
 pos = group.class_position(M.representative)
 print(f"\nnormalized characters at the swap class (size {M.size}):")
-for lab in labels:
-    chi = table[lab][pos]
-    norm = Fraction(chi, label_dim(lab))
-    print(f"  {label_str(lab):>18}  dim {label_dim(lab)}  chi(M) = {chi:>3}  chi/d = {norm}")
+for name, d, chi in zip(table.names, dims, table.chi[:, pos].tolist()):
+    print(f"  {name:>18}  dim {d}  chi(M) = {chi:>3}  chi/d = {Fraction(chi, d)}")
 
 print("\nPlancherel measure (weak-sampling law under the trivial subgroup):")
 dist = plancherel(group)

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import BoundUndefinedError, CapExceededError, GroupMismatchError
 from .groups import ConjugacyClass, FiniteGroup, cached_group, involution_class
-from .irreps import group_irreps, irrep_labels, label_dim, label_str
+from .irreps import character_table, group_irreps, irrep_labels, label_str
 from .oracle import exact_tv
 from .parallel import kahan_sum, ordered_map
 from .rng import CounterRng
@@ -84,8 +84,10 @@ class BadSet:
         assert 0 <= self.plancherel_mass <= 1
 
     def label_strings(self) -> tuple[str, ...]:
-        ordered = [l for l in irrep_labels(self.group) if l in self.labels]
-        return tuple(label_str(l) for l in ordered)
+        table = character_table(self.group)
+        return tuple(
+            name for lab, name in zip(table.labels, table.names) if lab in self.labels
+        )
 
 
 def cutoff_labels(group: FiniteGroup, n: int) -> frozenset:
@@ -122,11 +124,14 @@ def build_bad_set(group: FiniteGroup, M: ConjugacyClass, rule) -> BadSet:
                 raise ValueError(f"label {label_str(lab)} is not an irrep of {group.spec}")
             picked.add(lab)
         labels = frozenset(picked)
+    table = character_table(group)
     ratios = normalized_characters(group, M)
-    outside = [abs(r) for l, r in zip(irrep_labels(group), ratios) if l not in labels]
+    outside = [abs(r) for l, r in zip(table.labels, ratios) if l not in labels]
     lam = max(outside) if outside else Fraction(0)
     mass = sum(
-        (Fraction(label_dim(l) ** 2, group.order) for l in labels), Fraction(0)
+        (Fraction(d * d, group.order)
+         for l, d in zip(table.labels, table.dims.tolist()) if l in labels),
+        Fraction(0),
     )
     return BadSet(group, M, labels, lam, mass, complement_empty=not outside)
 
@@ -138,7 +143,7 @@ def lambda_cutoff_holds(badset: BadSet, n: int) -> bool:
 
 
 def sum_of_dimensions(group: FiniteGroup) -> int:
-    return sum(label_dim(l) for l in irrep_labels(group))
+    return sum(character_table(group).dims.tolist())
 
 
 def delta(badset: BadSet) -> Fraction:
@@ -185,6 +190,17 @@ def exact_weak_tv(group: FiniteGroup, M: ConjugacyClass, k: int) -> Fraction:
 # ---------------------------------------------------------------------------
 # Exact enumeration of the bound counterparts
 
+def _check_tensor_cap(group: FiniteGroup, k: int, tensor_cap: int) -> None:
+    """Raise CapExceededError when some k-tuple of irreps exceeds the tensor
+    cap.  Every label has positive Plancherel mass, so such a tuple is
+    enumerated in exact mode and drawn sooner or later in sampled mode."""
+    max_dim = int(character_table(group).dims.max())
+    if max_dim ** k > tensor_cap:
+        raise CapExceededError(
+            f"{k} registers of dimension {max_dim} exceed tensor cap {tensor_cap}"
+        )
+
+
 @dataclass(frozen=True)
 class EnumerationStats:
     """Per-trial exact expectations over the tuple space (one basis per
@@ -208,8 +224,14 @@ def _member_projectors(rep, members) -> np.ndarray:
 
 
 def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
-    D = prod(p.shape[-1] for p in projs)
     n_m = len(projs[0])
+    if rank_total == 0:
+        # The tuple's projector is 0, so its masses are 0 in every basis:
+        # no basis is built, and the values are those of all-zero masses.
+        pessimal = np.full(trials, PESSIMAL_TV)
+        return (pessimal, pessimal, np.zeros(trials), np.full(trials, 0.5 ** k),
+                [PESSIMAL_TV] * (n_m * trials), rank_total)
+    D = prod(p.shape[-1] for p in projs)
     exp_tv = np.empty(trials)
     full_tv = np.empty(trials)
     var_ = np.empty(trials)
@@ -221,16 +243,11 @@ def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
         mean_raw = raw.mean(axis=0)
         var_[t] = np.mean(np.mean((raw - mean_raw) ** 2, axis=0))
         dev[t] = np.mean(np.abs(mean_raw - 0.5 ** k))
-        if rank_total > 0:
-            probs = raw / rank_total
-            tvs = np.sum(np.abs(probs - 1.0 / D), axis=1)
-            full_tv[t] = tvs.mean()
-            exp_tv[t] = np.sum(np.abs(probs.mean(axis=0) - 1.0 / D))
-            triples.extend(float(v) for v in tvs)
-        else:
-            full_tv[t] = PESSIMAL_TV
-            exp_tv[t] = PESSIMAL_TV
-            triples.extend([PESSIMAL_TV] * n_m)
+        probs = raw / rank_total
+        tvs = np.sum(np.abs(probs - 1.0 / D), axis=1)
+        full_tv[t] = tvs.mean()
+        exp_tv[t] = np.sum(np.abs(probs.mean(axis=0) - 1.0 / D))
+        triples.extend(float(v) for v in tvs)
     return exp_tv, full_tv, var_, dev, triples, rank_total
 
 
@@ -248,6 +265,7 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
         raise CapExceededError(
             f"{len(labels)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
         )
+    _check_tensor_cap(group, k, tensor_cap)
     hidden = HiddenSubgroup(group, M.representative)
     planch = weak_dist(group, HiddenSubgroup(group)).exact_values()
     hweight = weak_dist(group, hidden).exact_values()
@@ -255,11 +273,6 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     members = [group.index(m) for m in M.members]
     projs = [_member_projectors(rep, members) for rep in group_irreps(group, cache_dir)]
     tuples = list(itertools.product(range(len(labels)), repeat=k))
-    for tup in tuples:
-        if prod(label_dim(labels[i]) for i in tup) > tensor_cap:
-            raise CapExceededError(
-                f"tuple {tuple(label_str(labels[i]) for i in tup)} exceeds tensor cap"
-            )
 
     def run(args):
         idx, tup = args
@@ -334,6 +347,7 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     """Monte Carlo over (tuple, m, basis) triples: tuple per-register from
     the Plancherel measure, m uniform in M, basis Haar-seeded.  Returns the
     per-triple L1 distances to uniform (pessimal 2 on zero-rank tuples)."""
+    _check_tensor_cap(group, k, tensor_cap)
     labels = irrep_labels(group)
     reps = group_irreps(group, cache_dir)
     hidden = HiddenSubgroup(group, M.representative)
@@ -349,8 +363,6 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
             for u in picks
         ]
         D = prod(reps[i].dim for i in tup)
-        if D > tensor_cap:
-            raise CapExceededError("sampled tuple exceeds tensor cap")
         rank_total = prod(ranks[i] for i in tup)
         m = group.index(M.members[rng.index(k, M.size)])
         if rank_total == 0:
@@ -493,16 +505,12 @@ def _blank(x):
     return "" if x is None else x
 
 
-def _control_tv(group, reps_by_label, labels, k, seed, tensor_cap) -> float:
+def _control_tv(group, reps, k, seed, tensor_cap) -> float:
     """Trivial-subgroup control: the multiregister distribution must be
-    exactly uniform for any basis."""
-    pick = labels[0]
-    for l in labels:
-        if label_dim(l) > 1 and label_dim(l) ** k <= tensor_cap:
-            pick = l
-            break
-    reps = tuple(reps_by_label[pick] for _ in range(k))
-    tup = RegisterTuple(reps, tensor_cap=tensor_cap)
+    exactly uniform for any basis.  k registers of the first irrep of
+    dimension above 1; _check_tensor_cap has passed, so they fit."""
+    pick = next((r for r in reps if r.dim > 1), reps[0])
+    tup = RegisterTuple((pick,) * k, tensor_cap=tensor_cap)
     worst = Fraction(0)
     for t in range(2):
         basis = MeasurementBasis.haar(
@@ -523,8 +531,9 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     group = cached_group(f"wreath:{n}")
     M = involution_class(group)
     bad = build_bad_set(group, M, rule)
+    _check_tensor_cap(group, k, tensor_cap)
     labels = irrep_labels(group)
-    reps_by_label = {r.label: r for r in group_irreps(group, cache_dir)}
+    reps = group_irreps(group, cache_dir)
 
     d_val = delta(bad)
     weak_b = weak_tv_bound(bad, k)
@@ -539,17 +548,13 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     weak_x = exact_weak_tv(group, M, k)
     rule_name = rule if isinstance(rule, str) else "explicit"
 
-    exact_ok = (
-        len(labels) ** k <= EXACT_TUPLE_CAP
-        and max(label_dim(l) for l in labels) ** k <= tensor_cap
-        and n <= 3
-    )
+    exact_ok = len(labels) ** k <= EXACT_TUPLE_CAP and n <= 3
 
     flags = {
         "weak_tv": weak_b >= weak_x,
     }
     quantiles = None
-    control = _control_tv(group, reps_by_label, labels, k, seed, tensor_cap)
+    control = _control_tv(group, reps, k, seed, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:

@@ -48,8 +48,6 @@ from .irreps import (
     MatrixRep,
     character_table,
     group_irreps,
-    irrep_labels,
-    label_dim,
     label_str,
     parse_label,
     wreath_character,
@@ -182,20 +180,16 @@ def _dist_csv_rows(dist) -> list[dict]:
 
 def cmd_irreps(args) -> int:
     group = _group(args.group)
-    labels = irrep_labels(group)
     table = character_table(group)
     classes = group.conjugacy_classes()
-    sum_sq = sum(label_dim(l) ** 2 for l in labels)
+    dims = table.dims.tolist()
     order = group.order
-    ortho_ok = True
-    for a in labels:
-        for b in labels:
-            inner = sum(
-                cls.size * table[a][i] * table[b][i] for i, cls in enumerate(classes)
-            )
-            if inner != (order if a == b else 0):
-                ortho_ok = False
-    checks = {"sum_dim_sq": sum_sq == order, "orthogonality": ortho_ok}
+    sizes = np.array([c.size for c in classes], dtype=np.int64)
+    # exact in int64: each entry is at most |G|^2 in absolute value
+    gram = (table.chi * sizes) @ table.chi.T
+    ortho_ok = bool(np.array_equal(gram, order * np.eye(len(dims), dtype=np.int64)))
+    checks = {"sum_dim_sq": sum(d * d for d in dims) == order,
+              "orthogonality": ortho_ok}
     payload = {
         "command": "irreps",
         "group": group.spec,
@@ -206,26 +200,26 @@ def cmd_irreps(args) -> int:
         ],
         "irreps": [
             {
-                "label": label_str(l),
-                "dim": label_dim(l),
+                "label": name,
+                "dim": d,
                 "plancherel": {
-                    "exact": str(Fraction(label_dim(l) ** 2, order)),
-                    "value": label_dim(l) ** 2 / order,
+                    "exact": str(Fraction(d * d, order)),
+                    "value": d ** 2 / order,
                 },
-                "characters": list(table[l]),
+                "characters": row,
             }
-            for l in labels
+            for name, d, row in zip(table.names, dims, table.chi.tolist())
         ],
         "checks": checks,
         "all_pass": all(checks.values()),
     }
     if args.format == "csv":
         rows = []
-        for l in labels:
-            row = {"label": label_str(l), "dim": label_dim(l),
-                   "plancherel": label_dim(l) ** 2 / order}
-            for i, c in enumerate(classes):
-                row[f"chi@{c.representative}"] = table[l][i]
+        for entry in payload["irreps"]:
+            row = {"label": entry["label"], "dim": entry["dim"],
+                   "plancherel": entry["plancherel"]["value"]}
+            for c, chi in zip(classes, entry["characters"]):
+                row[f"chi@{c.representative}"] = chi
             rows.append(row)
         emit(csv_text(rows), args.out)
     else:
@@ -275,31 +269,28 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
     """All label k-tuples with exact weak probabilities, plus the conditional
     multiregister distribution for each tuple in the chosen basis."""
     k = args.k
-    labels = irrep_labels(group)
-    if len(labels) ** k > TUPLE_REPORT_CAP:
+    names = character_table(group).names
+    if len(names) ** k > TUPLE_REPORT_CAP:
         raise CapExceededError(
-            f"{len(labels)}^{k} tuples exceed the report cap {TUPLE_REPORT_CAP}"
+            f"{len(names)}^{k} tuples exceed the report cap {TUPLE_REPORT_CAP}"
         )
-    weak = weak_dist(group, hidden)
-    weak_exact = dict(zip(weak.labels, weak.exact_values()))
-    reps = {r.label: r for r in group_irreps(group, _cache_dir(args))}
+    weak_exact = weak_dist(group, hidden).exact_values()
+    reps = group_irreps(group, _cache_dir(args))
     import itertools as it
 
     entries = []
     csv_rows = []
     total = Fraction(0)
-    for idx, tup in enumerate(it.product(labels, repeat=k)):
-        names = [label_str(l) for l in tup]
-        prob = prod((weak_exact[n] for n in names), start=Fraction(1))
+    for idx, tup in enumerate(it.product(range(len(names)), repeat=k)):
+        prob = prod((weak_exact[i] for i in tup), start=Fraction(1))
         total += prob
-        dims = [label_dim(l) for l in tup]
-        D = prod(dims)
+        D = prod(reps[i].dim for i in tup)
         conditional = None
         zero_rank = False
         if D <= args.tensor_cap:
             try:
                 regs = RegisterTuple(
-                    tuple(reps[l] for l in tup), tensor_cap=args.tensor_cap
+                    tuple(reps[i] for i in tup), tensor_cap=args.tensor_cap
                 )
                 basis = _basis_for(args, D, "tuple", idx)
                 conditional = [
@@ -307,14 +298,15 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
                 ]
             except ZeroRankError:
                 zero_rank = True
+        tup_names = [names[i] for i in tup]
         entries.append({
-            "labels": names,
+            "labels": tup_names,
             "weak": {"exact": str(prob), "value": float(prob)},
             "zero_rank": zero_rank,
             "conditional": conditional,
         })
         csv_rows.append({
-            "labels": ";".join(names),
+            "labels": ";".join(tup_names),
             "weak_exact": str(prob),
             "weak": float(prob),
             "zero_rank": zero_rank,
@@ -344,12 +336,11 @@ def _default_groups(args, fallback):
     return [_group(s) for s in fallback]
 
 
-def _random_registers(group, reps_by_label, rng, k, tensor_cap):
-    labels = irrep_labels(group)
-    tup = tuple(labels[rng.index(i, len(labels))] for i in range(k))
-    if prod(label_dim(l) for l in tup) > tensor_cap:
-        tup = tuple(labels[0] for _ in range(k))
-    return RegisterTuple(tuple(reps_by_label[l] for l in tup), tensor_cap=tensor_cap)
+def _random_registers(reps, rng, k, tensor_cap):
+    tup = tuple(reps[rng.index(i, len(reps))] for i in range(k))
+    if prod(r.dim for r in tup) > tensor_cap:
+        tup = (reps[0],) * k
+    return RegisterTuple(tup, tensor_cap=tensor_cap)
 
 
 def _lemma_rank(args) -> list:
@@ -363,7 +354,7 @@ def _lemma_rank(args) -> list:
             oracle_rank = int(round(trace))
             assert abs(trace - oracle_rank) < 1e-6
             results.append(exact_result(
-                f"rank {group.spec} {label_str(rep.label)}",
+                f"rank {group.spec} {rep.name}",
                 weak_rank(group, rep.label, hidden),
                 oracle_rank,
             ))
@@ -374,10 +365,10 @@ def _lemma_expectation(args) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
         M = _involution(group)
-        reps_by_label = {r.label: r for r in group_irreps(group, _cache_dir(args))}
+        reps = group_irreps(group, _cache_dir(args))
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "expectation", group.spec, t)
-            regs = _random_registers(group, reps_by_label, rng, args.k, args.tensor_cap)
+            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
             b = rng.sub("vec").unit_vector(regs.total_dim)
             full = tuple(range(args.k))
             formula = subset_expectation(regs, b, full, M)
@@ -401,10 +392,10 @@ def _lemma_second_moment(args) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
         M = _involution(group)
-        reps_by_label = {r.label: r for r in group_irreps(group, _cache_dir(args))}
+        reps = group_irreps(group, _cache_dir(args))
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "second-moment", group.spec, t)
-            regs = _random_registers(group, reps_by_label, rng, args.k, args.tensor_cap)
+            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
             if regs.total_dim ** 2 > args.tensor_cap:
                 continue
             b = rng.sub("vec").unit_vector(regs.total_dim)
@@ -430,10 +421,10 @@ def _lemma_multiregister(args) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
         M = _involution(group)
-        reps_by_label = {r.label: r for r in group_irreps(group, _cache_dir(args))}
+        reps = group_irreps(group, _cache_dir(args))
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "multiregister", group.spec, t)
-            regs = _random_registers(group, reps_by_label, rng, args.k, args.tensor_cap)
+            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
             if regs.total_dim ** 2 > args.tensor_cap:
                 continue
             b = rng.sub("vec").unit_vector(regs.total_dim)
@@ -457,10 +448,10 @@ def _lemma_claim_average(args) -> list:
         for rep in reps:
             for t in range(min(args.trials, 5)):
                 rng = CounterRng(args.seed, "verify", "claim", group.spec,
-                                 label_str(rep.label), t)
+                                 rep.name, t)
                 b = rng.unit_vector(rep.dim)
                 lhs, rhs = claim_projector_average(rep, b)
-                tag = f"{group.spec} {label_str(rep.label)} trial={t}"
+                tag = f"{group.spec} {rep.name} trial={t}"
                 results.append(equality_result(
                     f"claim lhs=1/d {tag}", lhs, 1.0 / rep.dim))
                 results.append(equality_result(
@@ -469,7 +460,7 @@ def _lemma_claim_average(args) -> list:
         rep = reps[-1]
         stack = np.einsum("gij,gkl->gikjl", rep.stack, rep.stack)
         stack = stack.reshape(group.order, rep.dim ** 2, rep.dim ** 2)
-        square = MatrixRep(group, stack, f"{label_str(rep.label)}^2")
+        square = MatrixRep(group, stack, f"{rep.name}^2")
         rng = CounterRng(args.seed, "verify", "claim", group.spec, "square")
         b = rng.unit_vector(square.dim)
         lhs, rhs = claim_projector_average(square, b)
@@ -481,18 +472,17 @@ def _lemma_claim_average(args) -> list:
 def _lemma_projector_sum(args) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
-        labels = irrep_labels(group)
-        reps_by_label = {r.label: r for r in group_irreps(group, _cache_dir(args))}
+        reps = group_irreps(group, _cache_dir(args))
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "projector-sum", group.spec, t)
-            regs = _random_registers(group, reps_by_label, rng, args.k, args.tensor_cap)
+            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
             if regs.total_dim ** 2 > args.tensor_cap:
                 continue
             b = rng.sub("vec").unit_vector(regs.total_dim)
-            sigma = labels[rng.index(300, len(labels))]
+            sigma = reps[rng.index(300, len(reps))]
             lhs, rhs = projector_sum_bound(regs, sigma, b)
             results.append(inequality_result(
-                f"projector-sum {group.spec} sigma={label_str(sigma)} trial={t}",
+                f"projector-sum {group.spec} sigma={sigma.name} trial={t}",
                 rhs, lhs,
             ))
     return results
@@ -533,11 +523,10 @@ def _lemma_induced(args) -> list:
         # normalized characters at the swap class, and the matrix truth of
         # the diagonal labels on flip elements
         M = involution_class(group)
-        table = character_table(group)
         pos = group.class_position(M.representative)
         for rep in group_irreps(group, _cache_dir(args)):
             lab = rep.label
-            chi = Fraction(table[lab][pos], label_dim(lab))
+            chi = Fraction(int(rep.characters[pos]), rep.dim)
             if isinstance(lab, PairLabel):
                 want = Fraction(0)
             else:
@@ -545,7 +534,7 @@ def _lemma_induced(args) -> list:
 
                 want = Fraction(lab.sign, dimension(lab.rho))
             results.append(exact_result(
-                f"normalized char at M wreath:{n} {label_str(lab)}", want, chi))
+                f"normalized char at M wreath:{n} {rep.name}", want, chi))
             if isinstance(lab, DiagonalLabel):
                 for cls in classes:
                     if not cls.representative.flip:
@@ -553,7 +542,7 @@ def _lemma_induced(args) -> list:
                     g = cls.representative
                     mat_trace = complex(rep.traces()[group.index(g)])
                     results.append(equality_result(
-                        f"diagonal flip trace wreath:{n} {label_str(lab)} at {g}",
+                        f"diagonal flip trace wreath:{n} {rep.name} at {g}",
                         wreath_character(lab, g), mat_trace,
                     ))
     return results
@@ -566,12 +555,13 @@ def _lemma_expected_decomp(args) -> list:
     else:
         configs = [(_group("sym:3"), min(args.k, 3)), (_group("wreath:2"), min(args.k, 2))]
     for group, k in configs:
-        for sigma in irrep_labels(group):
-            want = Fraction(label_dim(sigma) ** 2, group.order)
+        table = character_table(group)
+        for sigma, name, d in zip(table.labels, table.names, table.dims.tolist()):
+            want = Fraction(d * d, group.order)
             for subset in subsets(k, nonempty=True):
                 got = expected_isotypic_dimension(sigma, subset, k, group)
                 results.append(exact_result(
-                    f"expected-decomp {group.spec} k={k} sigma={label_str(sigma)} I={subset}",
+                    f"expected-decomp {group.spec} k={k} sigma={name} I={subset}",
                     want, got,
                 ))
     return results

@@ -466,11 +466,6 @@ def group_from_spec(spec: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> Finite
     raise ValueError(f"unknown group kind {kind!r}")
 
 
-def multiply(g, h):
-    """Group product g*h (apply h first, then g)."""
-    return g * h
-
-
 def conjugate(g, x):
     """The conjugate x^-1 * g * x."""
     if isinstance(g, Permutation) != isinstance(x, Permutation):

@@ -24,6 +24,7 @@ every explicit model here is real orthogonal.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -144,25 +145,14 @@ def label_filename(label) -> str:
 
 
 def irrep_labels(group: FiniteGroup) -> tuple:
-    """All irrep labels of the group, in the package's fixed order.
+    """All irrep labels of the group, in the package's fixed order: the
+    cached label tuple of its character table.
 
     Symmetric groups: partitions in reverse-lexicographic order.  Wreath
     groups: for each partition the (+) then (-) diagonal label, then the
     pairs {p_i, p_j} with i < j in partition order.
     """
-    if isinstance(group, SymmetricGroup):
-        return partitions(group.n)
-    if isinstance(group, WreathGroup):
-        parts = partitions(group.n)
-        labels = []
-        for rho in parts:
-            labels.append(DiagonalLabel(rho, 1))
-            labels.append(DiagonalLabel(rho, -1))
-        for i in range(len(parts)):
-            for j in range(i + 1, len(parts)):
-                labels.append(PairLabel(parts[i], parts[j]))
-        return tuple(labels)
-    raise GroupMismatchError(f"unsupported group {group!r}")
+    return character_table(group).labels
 
 
 # ---------------------------------------------------------------------------
@@ -233,11 +223,12 @@ class MatrixRep:
 class Irrep(MatrixRep):
     """An irreducible representation with exact integer characters.
 
-    characters is aligned with group.conjugacy_classes(); matrix data is the
-    explicit orthogonal model described in the module docstring.
+    characters is the irrep's row of the group's character table, aligned
+    with group.conjugacy_classes(); matrix data is the explicit orthogonal
+    model described in the module docstring.
     """
 
-    def __init__(self, group, label, stack, characters: tuple[int, ...]):
+    def __init__(self, group, label, stack, characters: np.ndarray):
         super().__init__(group, stack, name=label_str(label))
         self.label = label
         self.characters = characters
@@ -247,7 +238,7 @@ class Irrep(MatrixRep):
         return self.dim
 
     def character(self, g) -> int:
-        return self.characters[self.group.class_position(g)]
+        return int(self.characters[self.group.class_position(g)])
 
     def check(self, eps: float = EPS, pair_budget: int = 2000) -> None:
         super().check(eps, pair_budget)
@@ -331,10 +322,6 @@ def _extend_by_generators(group: FiniteGroup, gens, dim: int) -> np.ndarray:
     return stack
 
 
-def sym_character_row(lam: Partition, group: SymmetricGroup) -> tuple[int, ...]:
-    return tuple(character_sn(lam, c.label) for c in group.conjugacy_classes())
-
-
 def young_orthogonal_rep(lam, cache_dir: str | None = None) -> Irrep:
     """The S_n irrep of shape lam in Young's orthogonal form."""
     lam = check_partition(lam)
@@ -345,7 +332,7 @@ def young_orthogonal_rep(lam, cache_dir: str | None = None) -> Irrep:
         )
     group = cached_group(f"sym:{n}")
     d = dimension(lam)
-    stack = _cache_load(cache_dir, group, lam, (group.order, d, d))
+    stack = _cache_load(cache_dir, group, lam)
     if stack is None:
         gens = []
         for i in range(n - 1):
@@ -356,7 +343,8 @@ def young_orthogonal_rep(lam, cache_dir: str | None = None) -> Irrep:
             gens.append((Permutation(tuple(images)), _yor_generator(lam, i)))
         stack = _extend_by_generators(group, gens, d)
         _cache_store(cache_dir, group, lam, stack)
-    return Irrep(group, lam, stack, sym_character_row(lam, group))
+    table = character_table(group)
+    return Irrep(group, lam, stack, table.chi[table.position(lam)])
 
 
 def sym_irreps(n: int, cache_dir: str | None = None) -> tuple[Irrep, ...]:
@@ -443,16 +431,15 @@ def wreath_irreps(n: int, cache_dir: str | None = None) -> tuple[Irrep, ...]:
     sym_stacks = {lam: young_orthogonal_rep(lam, cache_dir).stack for lam in partitions(n)}
     table = character_table(grp)
     out = []
-    for lab in irrep_labels(grp):
-        d = label_dim(lab)
-        stack = _cache_load(cache_dir, grp, lab, (grp.order, d, d))
+    for lab, chi in zip(table.labels, table.chi):
+        stack = _cache_load(cache_dir, grp, lab)
         if stack is None:
             if isinstance(lab, DiagonalLabel):
                 stack = _diagonal_stack(sym_stacks[lab.rho], lab.sign)
             else:
                 stack = _pair_stack(sym_stacks[lab.first], sym_stacks[lab.second])
             _cache_store(cache_dir, grp, lab, stack)
-        out.append(Irrep(grp, lab, stack, table[lab]))
+        out.append(Irrep(grp, lab, stack, chi))
     assert sum(ir.dim**2 for ir in out) == grp.order
     return tuple(out)
 
@@ -468,34 +455,70 @@ def group_irreps(group: FiniteGroup, cache_dir: str | None = None) -> tuple[Irre
 # ---------------------------------------------------------------------------
 # Character tables, Plancherel, projectors, multiplicities
 
-_TABLE_CACHE: dict[str, dict] = {}
+@dataclass(frozen=True, eq=False)
+class CharacterTable:
+    """Exact integer characters of every irrep of one group, by position.
+
+    Row i belongs to labels[i]: the irrep_labels order, which is also the
+    order of group_irreps.  Column j belongs to group.conjugacy_classes()[j].
+    names[i] is label_str(labels[i]) and dims[i] the dimension.  The arrays
+    are read-only.
+    """
+
+    labels: tuple
+    names: tuple[str, ...]
+    dims: np.ndarray
+    chi: np.ndarray
+
+    def position(self, label) -> int:
+        """Row of an irrep label; an Irrep stands for its own label."""
+        if isinstance(label, Irrep):
+            label = label.label
+        try:
+            return self.labels.index(label)
+        except ValueError:
+            raise KeyError(f"not an irrep label of this group: {label!r}") from None
 
 
-def character_table(group: FiniteGroup) -> dict:
-    """label -> tuple of exact integer characters, aligned with
-    group.conjugacy_classes()."""
-    key = group.spec
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+_TABLE_CACHE: dict[str, CharacterTable] = {}
+
+
+def character_table(group: FiniteGroup) -> CharacterTable:
+    """The group's character table, built on first use and cached per group
+    spec."""
+    table = _TABLE_CACHE.get(group.spec)
+    if table is None:
+        table = _TABLE_CACHE[group.spec] = _build_character_table(group)
+    return table
+
+
+def _build_character_table(group: FiniteGroup) -> CharacterTable:
     classes = group.conjugacy_classes()
-    table = {}
     if isinstance(group, SymmetricGroup):
-        for lam in irrep_labels(group):
-            table[lam] = tuple(character_sn(lam, c.label) for c in classes)
+        labels = partitions(group.n)
+        rows = [[character_sn(lam, c.label) for c in classes] for lam in labels]
     elif isinstance(group, WreathGroup):
-        for lab in irrep_labels(group):
-            table[lab] = tuple(wreath_character(lab, c.representative) for c in classes)
+        parts = partitions(group.n)
+        labels = [DiagonalLabel(rho, sign) for rho in parts for sign in (1, -1)]
+        labels += [PairLabel(a, b) for a, b in itertools.combinations(parts, 2)]
+        rows = [[wreath_character(lab, c.representative) for c in classes]
+                for lab in labels]
     else:
         raise GroupMismatchError(f"unsupported group {group!r}")
-    _TABLE_CACHE[key] = table
-    return table
+    dims = np.array([label_dim(lab) for lab in labels], dtype=np.int64)
+    chi = np.array(rows, dtype=np.int64)
+    dims.setflags(write=False)
+    chi.setflags(write=False)
+    return CharacterTable(tuple(labels), tuple(label_str(lab) for lab in labels),
+                          dims, chi)
 
 
 def plancherel(group: FiniteGroup) -> SamplingDistribution:
     """The Plancherel distribution d^2/|G| on irrep labels, exact."""
-    labels = irrep_labels(group)
+    table = character_table(group)
     outcomes = tuple(
-        (label_str(lab), Fraction(label_dim(lab) ** 2, group.order)) for lab in labels
+        (name, Fraction(d * d, group.order))
+        for name, d in zip(table.names, table.dims.tolist())
     )
     return SamplingDistribution(
         "plancherel", group.spec, "trivial", outcomes, exact=True
@@ -514,7 +537,7 @@ def class_character(rep: MatrixRep) -> tuple[int, ...]:
     return tuple(out)
 
 
-def multiplicity(rep_character, sigma_label, group: FiniteGroup) -> int:
+def multiplicity(rep_character, sigma, group: FiniteGroup) -> int:
     """Exact multiplicity <chi_rep, chi_sigma> over the given group.
 
     rep_character is a class function aligned with group.conjugacy_classes();
@@ -530,12 +553,13 @@ def multiplicity(rep_character, sigma_label, group: FiniteGroup) -> int:
         if abs(z.imag) > TRACE_INT_TOL or abs(z.real - round(z.real)) > TRACE_INT_TOL:
             raise NonCharacterError(f"class function value {x!r} is not an integer")
         ints.append(round(z.real))
-    chi_sigma = character_table(group)[sigma_label]
-    total = sum(c.size * a * b for c, a, b in zip(classes, ints, chi_sigma))
+    table = character_table(group)
+    i = table.position(sigma)
+    total = sum(c.size * a * b for c, a, b in zip(classes, ints, table.chi[i].tolist()))
     value = Fraction(total, group.order)
     if value.denominator != 1 or value < 0:
         raise NonCharacterError(
-            f"inner product {value} with {label_str(sigma_label)} is not a "
+            f"inner product {value} with {table.names[i]} is not a "
             "nonnegative integer; input is not a character"
         )
     return int(value)
@@ -562,31 +586,31 @@ def isotypic_projector(rep: MatrixRep, sigma, eps: float = EPS) -> IsotypicProje
     a non-representation input announces itself.
     """
     group = rep.group
-    sigma_label = sigma.label if isinstance(sigma, Irrep) else sigma
-    chi = character_table(group)[sigma_label]
-    d_sigma = label_dim(sigma_label)
+    table = character_table(group)
+    i = table.position(sigma)
+    d_sigma = int(table.dims[i])
     # Characters here are real integers, so conjugation is a no-op.
-    weights = np.asarray(chi, dtype=np.float64)[group.class_indices()]
+    weights = table.chi[i].astype(np.float64)[group.class_indices()]
     mat = (d_sigma / group.order) * np.einsum("g,gij->ij", weights, rep.stack)
     defect = np.max(np.abs(mat @ mat - mat))
     if defect > eps:
         raise RepresentationDefectError(
-            f"isotypic projector for {label_str(sigma_label)} is not idempotent "
+            f"isotypic projector for {table.names[i]} is not idempotent "
             f"(defect {defect:.3e}); input is not a representation"
         )
     herm = np.max(np.abs(mat - mat.conj().T))
     if herm > eps:
         raise RepresentationDefectError(
-            f"isotypic projector for {label_str(sigma_label)} is not self-adjoint "
+            f"isotypic projector for {table.names[i]} is not self-adjoint "
             f"(defect {herm:.3e})"
         )
-    a = multiplicity(class_character(rep), sigma_label, group)
+    a = multiplicity(class_character(rep), sigma, group)
     tr = float(np.real(mat.trace()))
     if abs(tr - a * d_sigma) > TRACE_INT_TOL:
         raise RepresentationDefectError(
             f"projector trace {tr!r} != multiplicity*dim = {a * d_sigma}"
         )
-    return IsotypicProjector(label_str(sigma_label), mat, a, d_sigma)
+    return IsotypicProjector(table.names[i], mat, a, d_sigma)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +627,11 @@ def _cache_file(cache_dir: str, group: FiniteGroup, label) -> Path:
     return Path(cache_dir) / name
 
 
-def _cache_load(cache_dir, group, label, shape) -> np.ndarray | None:
+def _cache_load(cache_dir, group, label) -> np.ndarray | None:
+    """The cached matrix stack of an irrep, or None when there is no file or
+    the file does not check out: its version, group and label fields, its
+    shape, and its traces against the character table row (within EPS).
+    The caller rebuilds the stack and overwrites the file on None."""
     cache_dir = resolve_cache_dir(cache_dir)
     if not cache_dir:
         return None
@@ -612,14 +640,22 @@ def _cache_load(cache_dir, group, label, shape) -> np.ndarray | None:
         return None
     try:
         with np.load(path) as data:
-            if int(data["version"]) != CACHE_VERSION:
-                return None
+            meta = (int(data["version"]), str(data["group"]), str(data["label"]))
             real, imag = data["real"], data["imag"]
     except (OSError, KeyError, ValueError):
         return None
-    if real.shape != shape:
+    table = character_table(group)
+    i = table.position(label)
+    d = int(table.dims[i])
+    if meta != (CACHE_VERSION, group.spec, table.names[i]):
         return None
-    return real if not imag.any() else real + 1j * imag
+    if real.shape != (group.order, d, d) or imag.shape != real.shape:
+        return None
+    stack = real if not imag.any() else real + 1j * imag
+    expected = table.chi[i][group.class_indices()]
+    if np.max(np.abs(np.einsum("gii->g", stack) - expected)) > EPS:
+        return None
+    return stack
 
 
 def _cache_store(cache_dir, group, label, stack) -> None:

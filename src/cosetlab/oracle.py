@@ -22,15 +22,8 @@ import numpy as np
 
 from .distributions import SamplingDistribution, format_probability
 from .errors import CapExceededError, OutcomeMismatchError
-from .groups import (
-    ConjugacyClass,
-    Permutation,
-    SymmetricGroup,
-    WreathElement,
-    WreathGroup,
-    cached_group,
-)
-from .irreps import Irrep, MatrixRep, label_str, young_orthogonal_rep
+from .groups import ConjugacyClass, Permutation, WreathElement, cached_group
+from .irreps import Irrep, MatrixRep, young_orthogonal_rep
 from .tableaux import check_partition, partition_str
 
 TOL = 1e-9

@@ -55,8 +55,6 @@ from .irreps import (
     MatrixRep,
     character_table,
     group_irreps,
-    irrep_labels,
-    label_dim,
     label_str,
 )
 from .rng import CounterRng
@@ -161,13 +159,14 @@ class RegisterTuple:
     @classmethod
     def from_labels(cls, group: FiniteGroup, labels, cache_dir: str | None = None,
                     tensor_cap: int = DEFAULT_TENSOR_CAP) -> "RegisterTuple":
-        by_label = {rep.name: rep for rep in group_irreps(group, cache_dir)}
+        names = character_table(group).names
+        reps = group_irreps(group, cache_dir)
         picked = []
         for lab in labels:
             key = lab if isinstance(lab, str) else label_str(lab)
-            if key not in by_label:
+            if key not in names:
                 raise KeyError(f"no irrep labelled {key!r} over {group.spec}")
-            picked.append(by_label[key])
+            picked.append(reps[names.index(key)])
         return cls(tuple(picked), tensor_cap)
 
     @property
@@ -229,26 +228,27 @@ def projector_rank(mat: np.ndarray) -> int:
 def weak_rank(group: FiniteGroup, label, hidden: HiddenSubgroup) -> int:
     """rank of Pi_H inside the irrep, exactly: d for trivial H, else
     (d + chi(m)) / 2."""
-    d = label_dim(label)
+    table = character_table(group)
+    i = table.position(label)
+    d = int(table.dims[i])
     if hidden.trivial:
         return d
-    chi = character_table(group)[label][group.class_position(hidden.m)]
-    rank = Fraction(d + chi, 2)
-    assert rank.denominator == 1 and rank >= 0, (label, rank)
-    return int(rank)
+    rank, odd = divmod(d + int(table.chi[i, group.class_position(hidden.m)]), 2)
+    assert not odd and rank >= 0, (label, d)
+    return rank
 
 
 def weak_dist(group: FiniteGroup, hidden: HiddenSubgroup) -> SamplingDistribution:
     """Exact distribution of the observed irrep label."""
     if hidden.group.spec != group.spec:
         raise GroupMismatchError("hidden subgroup belongs to a different group")
-    outcomes = []
-    for lab in irrep_labels(group):
-        rank = weak_rank(group, lab, hidden)
-        p = Fraction(label_dim(lab) * hidden.order * rank, group.order)
-        outcomes.append((label_str(lab), p))
+    table = character_table(group)
+    outcomes = tuple(
+        (name, Fraction(d * hidden.order * weak_rank(group, lab, hidden), group.order))
+        for lab, name, d in zip(table.labels, table.names, table.dims.tolist())
+    )
     return SamplingDistribution(
-        "weak", group.spec, hidden.descriptor(), tuple(outcomes), exact=True
+        "weak", group.spec, hidden.descriptor(), outcomes, exact=True
     )
 
 
@@ -406,25 +406,28 @@ def _subset_overlap_buckets(registers: RegisterTuple, subset,
 
 
 def _masses_from_buckets(group: FiniteGroup, buckets: np.ndarray,
-                         eps: float) -> dict[str, float]:
-    """<b, J_sigma b> per irrep label, from class-bucketed overlaps."""
+                         eps: float) -> np.ndarray:
+    """<b, J_sigma b> per irrep, in label order, from class-bucketed
+    overlaps: one dot product per character table row."""
     table = character_table(group)
-    out = {}
-    for lab in irrep_labels(group):
-        chi = np.asarray(table[lab], dtype=np.float64)
-        val = complex(label_dim(lab) / group.order * np.dot(chi, buckets))
+    chi = table.chi.astype(np.float64)
+    scale = table.dims / group.order
+    out = np.empty(len(chi))
+    for i in range(len(chi)):
+        val = complex(scale[i] * np.dot(chi[i], buckets))
         if abs(val.imag) > eps:
             raise RepresentationDefectError(
-                f"isotypic mass for {label_str(lab)} has imaginary part "
+                f"isotypic mass for {table.names[i]} has imaginary part "
                 f"{val.imag:.3e}"
             )
-        out[label_str(lab)] = val.real
+        out[i] = val.real
     return out
 
 
 def isotypic_masses(registers: RegisterTuple, subset, b: np.ndarray,
-                    eps: float = EPS) -> dict[str, float]:
-    """||J_sigma b||^2 for every irrep sigma, with g acting on `subset` only."""
+                    eps: float = EPS) -> np.ndarray:
+    """||J_sigma b||^2 for every irrep sigma, in label order, with g acting
+    on `subset` only."""
     buckets = _subset_overlap_buckets(registers, tuple(subset), b)
     return _masses_from_buckets(registers.group, buckets, eps)
 
@@ -446,9 +449,10 @@ def _doubled_overlap_buckets(registers: RegisterTuple, first, second,
 
 
 def doubled_isotypic_masses(registers: RegisterTuple, first, second,
-                            b: np.ndarray, eps: float = EPS) -> dict[str, float]:
-    """||J_sigma (b (x) conj(b))||^2 per sigma on the doubled space, where g
-    acts by g^first on the left factor and conj(g^second) on the right."""
+                            b: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """||J_sigma (b (x) conj(b))||^2 per sigma, in label order, on the doubled
+    space, where g acts by g^first on the left factor and conj(g^second) on
+    the right."""
     buckets = _doubled_overlap_buckets(registers, first, second, b)
     return _masses_from_buckets(registers.group, buckets, eps)
 
@@ -457,8 +461,8 @@ def doubled_isotypic_masses(registers: RegisterTuple, first, second,
 # Interference functionals over a class of involutions
 
 def normalized_characters(group: FiniteGroup, M: ConjugacyClass) -> tuple[Fraction, ...]:
-    """chi_sigma(M) / d_sigma for every irrep sigma, exact, in irrep_labels
-    order (the key order of the isotypic mass dicts).  M must be a class of
+    """chi_sigma(M) / d_sigma for every irrep sigma, exact, in label order
+    (the order of the isotypic mass arrays).  M must be a class of
     involutions of the group."""
     if M.group.spec != group.spec:
         raise GroupMismatchError(
@@ -468,11 +472,9 @@ def normalized_characters(group: FiniteGroup, M: ConjugacyClass) -> tuple[Fracti
     rep = M.representative
     if rep == e or rep * rep != e:
         raise ValueError(f"class of {rep} is not a class of involutions")
-    pos = group.class_position(rep)
     table = character_table(group)
-    return tuple(
-        Fraction(table[lab][pos], label_dim(lab)) for lab in irrep_labels(group)
-    )
+    column = table.chi[:, group.class_position(rep)].tolist()
+    return tuple(Fraction(x, d) for x, d in zip(column, table.dims.tolist()))
 
 
 def subset_expectation(registers: RegisterTuple, b: np.ndarray, subset,
@@ -480,7 +482,7 @@ def subset_expectation(registers: RegisterTuple, b: np.ndarray, subset,
     """E^I: the average over m in M of <b, m^I b>, computed spectrally."""
     ratios = normalized_characters(registers.group, M)
     masses = isotypic_masses(registers, subset, b)
-    return float(sum(float(c) * m for c, m in zip(ratios, masses.values()) if c))
+    return float(sum(float(c) * m for c, m in zip(ratios, masses.tolist()) if c))
 
 
 def doubled_expectation(registers: RegisterTuple, b: np.ndarray, first, second,
@@ -488,7 +490,7 @@ def doubled_expectation(registers: RegisterTuple, b: np.ndarray, first, second,
     """E^{I1,I2}: the doubled-space analogue on b (x) conj(b)."""
     ratios = normalized_characters(registers.group, M)
     masses = doubled_isotypic_masses(registers, first, second, b)
-    return float(sum(float(c) * m for c, m in zip(ratios, masses.values()) if c))
+    return float(sum(float(c) * m for c, m in zip(ratios, masses.tolist()) if c))
 
 
 @dataclass(frozen=True)
@@ -554,25 +556,6 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     )
 
 
-def multiregister_expectation(registers: RegisterTuple, b: np.ndarray,
-                              M: ConjugacyClass, check: bool = True) -> float:
-    """Average over m in M of ||Pi_m^(x)k b||^2, via the subset expansion."""
-    k = registers.k
-    lin = sum(
-        subset_expectation(registers, b, s, M) for s in subsets(k, nonempty=True)
-    )
-    mean = (1.0 + lin) / 2 ** k
-    if check:
-        from . import oracle
-
-        brute, _ = oracle.brute_multiregister_moments(registers.irreps, b, M)
-        if abs(mean - brute) > TOL:
-            raise VerificationError(
-                f"spectral mean {mean!r} != brute mean {brute!r}"
-            )
-    return float(mean)
-
-
 # ---------------------------------------------------------------------------
 # Second-moment inequalities
 
@@ -586,9 +569,8 @@ def claim_projector_average(rep: MatrixRep, b: np.ndarray,
     lhs = float(np.mean(np.abs(per) ** 2))
     buckets = _bucket_by_class(group, per)
     masses = _masses_from_buckets(group, buckets, EPS)
-    rhs = float(sum(
-        masses[label_str(lab)] ** 2 / label_dim(lab) for lab in irrep_labels(group)
-    ))
+    dims = character_table(group).dims.tolist()
+    rhs = float(sum(m ** 2 / d for m, d in zip(masses.tolist(), dims)))
     if lhs > rhs + tol:
         raise VerificationError(f"average {lhs!r} exceeds isotypic sum {rhs!r}")
     return lhs, rhs
@@ -601,27 +583,24 @@ def projector_sum_bound(registers: RegisterTuple, sigma, b: np.ndarray,
     of sum over tau of ||J_tau^I b||^2 / d_tau.  Returns (lhs, rhs); raises
     VerificationError if the inequality fails beyond tol.
     """
-    sigma_label = sigma.label if isinstance(sigma, Irrep) else sigma
-    key = label_str(sigma_label)
-    d_sigma = label_dim(sigma_label)
-    group = registers.group
+    table = character_table(registers.group)
+    i = table.position(sigma)
+    dims = table.dims.tolist()
     k = registers.k
     all_subs = subsets(k)
     lhs = 0.0
     for s1 in all_subs:
         for s2 in all_subs:
-            lhs += doubled_isotypic_masses(registers, s1, s2, b)[key]
+            lhs += doubled_isotypic_masses(registers, s1, s2, b)[i]
     inner = 0.0
     for s in all_subs:
         masses = isotypic_masses(registers, s, b)
-        inner += sum(
-            masses[label_str(tau)] / label_dim(tau) for tau in irrep_labels(group)
-        )
-    rhs = 2 ** k * d_sigma ** 2 * inner
+        inner += sum(m / d for m, d in zip(masses.tolist(), dims))
+    rhs = 2 ** k * dims[i] ** 2 * inner
     if lhs > rhs + tol:
         raise VerificationError(
             f"doubled projector sum {lhs!r} exceeds bound {rhs!r} "
-            f"for sigma = {key}"
+            f"for sigma = {table.names[i]}"
         )
     return float(lhs), float(rhs)
 
@@ -639,38 +618,35 @@ def expected_isotypic_dimension(sigma, subset, k: int, group: FiniteGroup,
         raise ValueError("subset must be nonempty")
     if any(i < 0 or i >= k for i in sub):
         raise ValueError(f"subset {sub} out of range for k = {k}")
-    sigma_label = sigma.label if isinstance(sigma, Irrep) else sigma
-    d_sigma = label_dim(sigma_label)
-    labels = irrep_labels(group)
-    if len(labels) ** k > cap:
-        raise CapExceededError(f"{len(labels)}^{k} label tuples exceed cap {cap}")
     table = character_table(group)
-    classes = group.conjugacy_classes()
-    sizes = [c.size for c in classes]
-    chi_sigma = table[sigma_label]
-    total = Fraction(0)
-    for tup in itertools.product(labels, repeat=k):
-        dims = [label_dim(l) for l in tup]
-        d_tuple = prod(dims)
-        outside = prod(dims[i] for i in range(k) if i not in sub)
-        inner = 0
-        for ci in range(len(classes)):
-            chi = outside
-            for i in sub:
-                chi *= table[tup[i]][ci]
-            inner += sizes[ci] * chi * chi_sigma[ci]
-        mult = Fraction(inner, group.order)
-        if mult.denominator != 1 or mult < 0:
+    pos = table.position(sigma)
+    dims = table.dims.tolist()
+    chi = table.chi.tolist()
+    if len(dims) ** k > cap:
+        raise CapExceededError(f"{len(dims)}^{k} label tuples exceed cap {cap}")
+    d_sigma = dims[pos]
+    weights = [c.size * x for c, x in zip(group.conjugacy_classes(), chi[pos])]
+    # P(tuple) * d_sigma / d_tuple = d_tuple * d_sigma / |G|^k, so the sum
+    # is one integer numerator over |G|^k.
+    numerator = 0
+    for tup in itertools.product(range(len(dims)), repeat=k):
+        reg_dims = [dims[j] for j in tup]
+        outside = prod(reg_dims[i] for i in range(k) if i not in sub)
+        inner = outside * sum(
+            w * prod(chi[tup[i]][c] for i in sub) for c, w in enumerate(weights)
+        )
+        mult, rem = divmod(inner, group.order)
+        if rem or mult < 0:
             raise NonCharacterError(
-                f"multiplicity {mult} of {label_str(sigma_label)} is not a "
-                "nonnegative integer"
+                f"multiplicity {Fraction(inner, group.order)} of "
+                f"{table.names[pos]} is not a nonnegative integer"
             )
-        weight = Fraction(prod(d * d for d in dims), group.order ** k)
-        total += weight * mult * Fraction(d_sigma, d_tuple)
+        numerator += prod(reg_dims) * mult * d_sigma
+    total = Fraction(numerator, group.order ** k)
     expected = Fraction(d_sigma * d_sigma, group.order)
     if total != expected:
         raise RepresentationDefectError(
             f"expected isotypic dimension {total} != {expected} "
-            f"for sigma = {label_str(sigma_label)}, I = {sub}, k = {k}"
+            f"for sigma = {table.names[pos]}, I = {sub}, k = {k}"
         )
     return total

@@ -71,12 +71,11 @@ def test_criterion_01_representation_integrity():
         group = cached_group(spec)
         reps = group_irreps(group)
         assert sum(r.dim ** 2 for r in reps) == group.order
-        table = character_table(group)
-        labels = irrep_labels(group)
+        chi = character_table(group).chi.tolist()
         classes = group.conjugacy_classes()
-        for a in labels:
-            for b in labels:
-                inner = sum(c.size * table[a][i] * table[b][i]
+        for a, row_a in enumerate(chi):
+            for b, row_b in enumerate(chi):
+                inner = sum(c.size * row_a[i] * row_b[i]
                             for i, c in enumerate(classes))
                 assert inner == (group.order if a == b else 0)
         for rep in reps:
@@ -109,17 +108,17 @@ def test_criterion_02_induced_representation_equivalence():
                         want = wreath_character(PairLabel(rho, sigma), g)
                     assert got == want
         table = character_table(group)
-        labels = irrep_labels(group)
-        for a in labels:
-            for b in labels:
-                inner = sum(c.size * table[a][i] * table[b][i]
+        rows = table.chi.tolist()
+        for a, row_a in enumerate(rows):
+            for b, row_b in enumerate(rows):
+                inner = sum(c.size * row_a[i] * row_b[i]
                             for i, c in enumerate(classes))
                 assert inner == group.order * (1 if a == b else 0)
         M = involution_class(group)
         pos = [i for i, c in enumerate(classes)
                if c.representative == M.representative][0]
-        for lab in labels:
-            chi = Fraction(table[lab][pos], label_dim(lab))
+        for lab, row in zip(table.labels, rows):
+            chi = Fraction(row[pos], label_dim(lab))
             if isinstance(lab, PairLabel):
                 assert chi == 0
             else:
@@ -142,7 +141,7 @@ def test_criterion_03_rank_identity():
             trace = complex(np.trace(proj))
             rank = int(round(trace.real))
             assert abs(trace.real - rank) <= 1e-6 and abs(trace.imag) <= 1e-6
-            chi = table[rep.label][pos]
+            chi = int(table.chi[table.position(rep.label), pos])
             assert Fraction(rank, rep.dim) == Fraction(1, 2) * (1 + Fraction(chi, rep.dim))
             assert rank == weak_rank(group, rep.label, hidden)
     print("PASS criterion 3: rank identity exact on wreath:2..3")

@@ -4,9 +4,12 @@ from fractions import Fraction
 import pytest
 
 from cosetlab import bounds
-from cosetlab.errors import BoundUndefinedError, GroupMismatchError
+from cosetlab.errors import BoundUndefinedError, CapExceededError, GroupMismatchError
 from cosetlab.groups import cached_group, involution_class
+from cosetlab.irreps import irrep_labels
 from cosetlab.report import json_text
+from cosetlab.rng import CounterRng
+from cosetlab.sampling import HiddenSubgroup, weak_rank
 
 
 def _setup(n):
@@ -164,6 +167,37 @@ def test_exact_enumeration_zero_rank_mass():
     assert stats.zero_rank_mass == Fraction(7, 16)
     assert len(stats.triple_values) == len(stats.triple_weights)
     assert abs(sum(stats.triple_weights) - 1.0) < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_exact_enumeration_builds_no_basis_for_zero_rank_tuples(monkeypatch, n):
+    g, M = _setup(n)
+    hidden = HiddenSubgroup(g, M.representative)
+    useful = sum(1 for lab in irrep_labels(g) if weak_rank(g, lab, hidden) > 0)
+    assert 0 < useful < len(irrep_labels(g))
+    built = []
+    haar_basis = CounterRng.haar_basis
+
+    def counting(self, d):
+        built.append(d)
+        return haar_basis(self, d)
+
+    monkeypatch.setattr(CounterRng, "haar_basis", counting)
+    k, trials = 2, 2
+    stats = bounds.exact_enumeration(g, M, k, seed=4, trials=trials)
+    assert len(built) == useful ** k * trials
+    assert stats.zero_rank_mass > 0
+
+
+def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
+    def refuse(self, d):
+        raise AssertionError("a Haar basis was built")
+
+    monkeypatch.setattr(CounterRng, "haar_basis", refuse)
+    g, M = _setup(4)
+    # wreath:4 has an 18-dimensional irrep and 18^3 > 4096
+    with pytest.raises(CapExceededError):
+        bounds.sampled_enumeration(g, M, 3, seed=0, trials=200)
 
 
 def test_pipeline_wreath2_k1_all_pass():

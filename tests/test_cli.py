@@ -223,3 +223,16 @@ def test_console_script():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["all_pass"]
+
+
+def test_bounds_tensor_cap_fails_before_any_work(monkeypatch, capsys):
+    from cosetlab import bounds
+    from cosetlab.rng import CounterRng
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("expensive work ran before the tensor-cap check")
+
+    monkeypatch.setattr(CounterRng, "haar_basis", refuse)
+    monkeypatch.setattr(bounds, "exact_weak_tv", refuse)
+    assert main(["bounds", "--n", "4", "--k", "3", "--trials", "200"]) == 3
+    assert "tensor cap" in capsys.readouterr().err

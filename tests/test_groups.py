@@ -17,7 +17,6 @@ from cosetlab.groups import (
     conjugate,
     group_from_spec,
     involution_class,
-    multiply,
     parse_cycles,
     parse_permutation,
     parse_wreath_element,
@@ -28,8 +27,8 @@ def test_identity_law_s3():
     g3 = SymmetricGroup(3)
     e = g3.identity()
     for g in g3.elements:
-        assert multiply(e, g) == g
-        assert multiply(g, e) == g
+        assert e * g == g
+        assert g * e == g
 
 
 def test_swap_squares_to_identity():

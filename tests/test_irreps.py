@@ -1,4 +1,5 @@
 import math
+import shutil
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from cosetlab.groups import (
     involution_class,
     parse_cycles,
 )
+from cosetlab import irreps
 from cosetlab.irreps import (
     DiagonalLabel,
     MatrixRep,
@@ -136,14 +138,64 @@ def test_character_table_orthogonality_exact():
         grp = cached_group(spec)
         classes = grp.conjugacy_classes()
         table = character_table(grp)
-        labels = list(table)
-        for a in labels:
-            for b in labels:
+        rows = table.chi.tolist()
+        for a, row_a in enumerate(rows):
+            for b, row_b in enumerate(rows):
                 total = sum(
                     c.size * x * y
-                    for c, x, y in zip(classes, table[a], table[b])
+                    for c, x, y in zip(classes, row_a, row_b)
                 )
                 assert total == (grp.order if a == b else 0)
+
+
+@pytest.mark.parametrize("spec", ["sym:0", "sym:1", "sym:2", "sym:3", "sym:4",
+                                  "sym:5", "wreath:1", "wreath:2", "wreath:3"])
+def test_character_table_rows_are_group_irreps_positions(spec):
+    grp = cached_group(spec)
+    table = character_table(grp)
+    assert character_table(grp) is table
+    assert irrep_labels(grp) is table.labels
+    assert table.dims.dtype.kind == "i" and table.chi.dtype.kind == "i"
+    assert table.chi.shape == (len(table.labels), len(grp.conjugacy_classes()))
+    assert not table.dims.flags.writeable and not table.chi.flags.writeable
+    reps = group_irreps(grp)
+    assert len(reps) == len(table.labels)
+    for i, rep in enumerate(reps):
+        assert rep.label == table.labels[i]
+        assert rep.name == table.names[i] == label_str(table.labels[i])
+        assert rep.dim == table.dims[i]
+        assert np.array_equal(rep.characters, table.chi[i])
+        # the matrices, not just the stored row, carry row i's characters
+        traces = rep.traces()[[grp.index(c.representative)
+                               for c in grp.conjugacy_classes()]]
+        assert np.allclose(traces, table.chi[i], atol=1e-9)
+        assert table.position(rep.label) == i
+        assert table.position(rep) == i
+
+
+def test_character_table_wreath4_at_character_level():
+    grp = cached_group("wreath:4")
+    table = character_table(grp)
+    classes = grp.conjugacy_classes()
+    sizes = np.array([c.size for c in classes])
+    identity = grp.class_position(grp.identity())
+    assert table.chi[:, identity].tolist() == table.dims.tolist()
+    assert table.dims.tolist() == [label_dim(lab) for lab in table.labels]
+    assert table.names == tuple(label_str(lab) for lab in table.labels)
+    gram = (table.chi * sizes) @ table.chi.T
+    assert np.array_equal(gram, grp.order * np.eye(len(table.labels), dtype=int))
+    for i, lab in enumerate(table.labels):
+        assert table.chi[i].tolist() == [
+            wreath_character(lab, c.representative) for c in classes
+        ]
+
+
+def test_character_table_position_rejects_foreign_labels():
+    table = character_table(cached_group("wreath:2"))
+    with pytest.raises(KeyError):
+        table.position((2,))
+    with pytest.raises(KeyError):
+        table.position(DiagonalLabel((3,), 1))
 
 
 def test_plancherel_s3():
@@ -265,6 +317,36 @@ def test_cache_ignores_corrupt_files(tmp_path):
     f.write_bytes(b"garbage")
     rep2 = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path))
     assert np.allclose(rep.stack, rep2.stack)
+
+
+def test_cache_rejects_a_file_stored_under_another_label(tmp_path):
+    grp = cached_group("sym:3")
+    young_orthogonal_rep((3,), cache_dir=str(tmp_path))
+    trivial = irreps._cache_file(str(tmp_path), grp, (3,))
+    sign = irreps._cache_file(str(tmp_path), grp, (1, 1, 1))
+    shutil.copy(trivial, sign)
+    assert irreps._cache_load(str(tmp_path), grp, (1, 1, 1)) is None
+    rep = young_orthogonal_rep((1, 1, 1), cache_dir=str(tmp_path))
+    rep.check()
+    assert [rep.character(c.representative) for c in grp.conjugacy_classes()] == [1, -1, 1]
+    with np.load(sign) as data:
+        assert str(data["label"]) == "[1,1,1]"
+        assert np.array_equal(data["real"], rep.stack)
+
+
+def test_cache_rejects_a_stack_whose_traces_are_wrong(tmp_path):
+    grp = cached_group("sym:3")
+    good = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path)).stack
+    path = irreps._cache_file(str(tmp_path), grp, (2, 1))
+    with np.load(path) as data:
+        fields = {key: data[key] for key in data.files}
+    fields["real"] = fields["real"][::-1].copy()
+    np.savez(path, **fields)
+    assert irreps._cache_load(str(tmp_path), grp, (2, 1)) is None
+    rep = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path))
+    assert np.array_equal(rep.stack, good)
+    with np.load(path) as data:
+        assert np.array_equal(data["real"], good)
 
 
 def test_group_irreps_dispatch():

@@ -79,7 +79,7 @@ def test_overlap_irreducible_is_normalized_character():
     for lam in partitions(4):
         rep = young_orthogonal_rep(lam)
         b = CounterRng(5, "overlap", str(lam)).unit_vector(rep.dim)
-        want = table[lam][ci] / rep.dim
+        want = table.chi[table.position(lam), ci] / rep.dim
         got = brute_expectation_overlap(rep, b, M)
         assert abs(got - want) < 1e-9
 
@@ -160,7 +160,8 @@ def test_induced_traces_match_formula_characters_exactly():
                 from cosetlab.irreps import PairLabel
 
                 ind = brute_induced_rep(n, parts[i], parts[j])
-                assert class_character(ind) == table[PairLabel(parts[i], parts[j])]
+                row = table.chi[table.position(PairLabel(parts[i], parts[j]))]
+                assert class_character(ind) == tuple(row.tolist())
 
 
 def dist(labels, probs, exact=False):

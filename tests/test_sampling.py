@@ -1,6 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
 from fractions import Fraction
+from hypothesis import given, settings, strategies as st
 
 from cosetlab import oracle, sampling
 from cosetlab.errors import (
@@ -21,7 +24,6 @@ from cosetlab.sampling import (
     expected_isotypic_dimension,
     interference_moments,
     multiregister_dist,
-    multiregister_expectation,
     projector_rank,
     projector_sum_bound,
     strong_dist,
@@ -415,7 +417,7 @@ def test_trivial_register_moments_are_degenerate():
 def test_multiregister_expectation_verifies_against_oracle():
     tup = RegisterTuple.from_labels(W2, ["([2],-)", "([1,1],+)"])
     b = CounterRng(29).unit_vector(tup.total_dim)
-    val = multiregister_expectation(tup, b, involution_class(W2))
+    val = interference_moments(tup, b, involution_class(W2), check=True).expectation
     brute, _ = oracle.brute_multiregister_moments(tup.irreps, b, involution_class(W2))
     assert val == pytest.approx(brute, abs=1e-9)
 
@@ -480,7 +482,7 @@ def test_projector_sum_bound_needs_empty_subsets():
     assert lhs <= rhs + 1e-12
     masses = sampling.isotypic_masses(tup, (0,), b)
     nonempty_rhs = 2 * sum(
-        masses[label_str(t)] / label_dim(t) for t in irrep_labels(S3)
+        m / label_dim(t) for m, t in zip(masses, irrep_labels(S3))
     )
     assert lhs > nonempty_rhs + 0.4
 
@@ -501,3 +503,40 @@ def test_expected_isotypic_dimension_guards():
         expected_isotypic_dimension((3,), (5,), 2, S3)
     with pytest.raises(CapExceededError):
         expected_isotypic_dimension((3,), (0,), 2, S3, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# Property test: spectral sums over the positional character table against
+# brute force over the class members
+
+@functools.lru_cache(maxsize=None)
+def _irreps_and_involution_classes(spec):
+    group = cached_group(spec)
+    e = group.identity()
+    classes = tuple(
+        c for c in group.conjugacy_classes()
+        if c.representative != e and c.representative * c.representative == e
+    )
+    return group_irreps(group), classes
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(data=st.data())
+def test_spectral_expectations_match_brute_force(data):
+    spec = data.draw(st.sampled_from(["sym:3", "sym:4", "wreath:2", "wreath:3"]))
+    reps, classes = _irreps_and_involution_classes(spec)
+    M = data.draw(st.sampled_from(classes))
+    k = data.draw(st.integers(1, 2))
+    picks = data.draw(st.lists(st.integers(0, len(reps) - 1), min_size=k, max_size=k))
+    regs = RegisterTuple(tuple(reps[i] for i in picks))
+    b = CounterRng(data.draw(st.integers(0, 2 ** 32 - 1)), "prop").unit_vector(
+        regs.total_dim
+    )
+    some_subset = st.sets(st.integers(0, k - 1)).map(lambda s: tuple(sorted(s)))
+    subset = data.draw(some_subset)
+    got = subset_expectation(regs, b, subset, M)
+    assert abs(got - oracle.brute_subset_overlap(regs.irreps, b, subset, M)) <= 1e-9
+    first, second = data.draw(some_subset), data.draw(some_subset)
+    got = doubled_expectation(regs, b, first, second, M)
+    want = oracle.brute_doubled_overlap(regs.irreps, b, first, second, M)
+    assert abs(got - want) <= 1e-9
