@@ -533,7 +533,6 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     bad = build_bad_set(group, M, rule)
     _check_tensor_cap(group, k, tensor_cap)
     labels = irrep_labels(group)
-    reps = group_irreps(group, cache_dir)
 
     d_val = delta(bad)
     weak_b = weak_tv_bound(bad, k)
@@ -554,7 +553,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "weak_tv": weak_b >= weak_x,
     }
     quantiles = None
-    control = _control_tv(group, reps, k, seed, tensor_cap)
+    control = _control_tv(group, group_irreps(group, cache_dir), k, seed, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:

@@ -17,6 +17,8 @@ from state = mix(seed), each chunk c updates state = mix(state XOR mix(c +
 0x9E3779B97F4A7C15)).
 
 Raw counters: word(i) = mix((base + (i+1) * 0x9E3779B97F4A7C15) mod 2^64).
+words(start, count) evaluates the same formula over the whole counter range
+start..start+count-1 at once, as wrapping uint64 array arithmetic.
 
 Floats: float01(i) = (word(i) >> 11) * 2^-53 in [0,1);
         float_pos(i) = ((word(i) >> 11) + 1) * 2^-53 in (0,1].
@@ -68,6 +70,14 @@ def _chunks(component) -> list[int]:
     return out
 
 
+def _unit01(w: np.ndarray) -> np.ndarray:
+    return (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def _unit_pos(w: np.ndarray) -> np.ndarray:
+    return ((w >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+
+
 def derive_stream(seed: int, *path) -> int:
     state = _mix(seed & _MASK)
     for component in path:
@@ -97,23 +107,31 @@ class CounterRng:
         return _mix((self._base + (i + 1) * _WEYL) & _MASK)
 
     def words(self, start: int, count: int) -> np.ndarray:
-        return np.array([self.word(start + i) for i in range(count)], dtype=np.uint64)
+        """word(start), ..., word(start+count-1) as one uint64 array."""
+        with np.errstate(over="ignore"):
+            i1 = np.uint64((start + 1) & _MASK) + np.arange(count, dtype=np.uint64)
+            z = np.uint64(self._base) + i1 * np.uint64(_WEYL)
+            z ^= z >> np.uint64(30)
+            z *= np.uint64(_M1)
+            z ^= z >> np.uint64(27)
+            z *= np.uint64(_M2)
+            z ^= z >> np.uint64(31)
+        return z
 
     def floats01(self, start: int, count: int) -> np.ndarray:
         """count floats in [0,1) from counters start..start+count-1."""
-        w = self.words(start, count)
-        return (w >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return _unit01(self.words(start, count))
 
     def floats_pos(self, start: int, count: int) -> np.ndarray:
         """count floats in (0,1], safe as log arguments."""
-        w = self.words(start, count)
-        return ((w >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
+        return _unit_pos(self.words(start, count))
 
     def gaussians(self, count: int, start: int = 0) -> np.ndarray:
         """count standard normals, consuming counters start..start+2*ceil(count/2)-1."""
         pairs = (count + 1) // 2
-        u = self.floats_pos(start, 2 * pairs)[0::2]
-        v = self.floats01(start + 1, 2 * pairs)[0::2]
+        w = self.words(start, 2 * pairs)
+        u = _unit_pos(w[0::2])
+        v = _unit01(w[1::2])
         r = np.sqrt(-2.0 * np.log(u))
         theta = 2.0 * math.pi * v
         out = np.empty(2 * pairs)

@@ -355,6 +355,8 @@ def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
 
 def subsets(k: int, nonempty: bool = False):
     """All subsets of range(k) as sorted tuples, in bitmask order."""
+    if k < 0:
+        raise ValueError(f"register count must be >= 0, got {k}")
     out = []
     for mask in range(2 ** k):
         sub = tuple(i for i in range(k) if mask >> i & 1)

@@ -8,10 +8,8 @@ import itertools
 import json
 import time
 from fractions import Fraction
-from math import prod
 
 import numpy as np
-import pytest
 
 from cosetlab import bounds
 from cosetlab.cli import main
@@ -32,7 +30,6 @@ from cosetlab.oracle import (
     brute_multiregister_moments,
     brute_second_moment,
     brute_subset_overlap,
-    exact_tv,
     rebuilt_matrix,
 )
 from cosetlab.rng import CounterRng

@@ -1,4 +1,5 @@
 import math
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -198,6 +199,26 @@ def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
     # wreath:4 has an 18-dimensional irrep and 18^3 > 4096
     with pytest.raises(CapExceededError):
         bounds.sampled_enumeration(g, M, 3, seed=0, trials=200)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_pipeline_frees_its_stacks_before_the_enumeration_builds_more(monkeypatch, n):
+    # n=2 runs exact_enumeration, n=4 sampled_enumeration; each builds its own
+    # stacks, so the pipeline's earlier ones must be gone by then.
+    group_irreps = bounds.group_irreps
+    built = []
+    alive_at_call = []
+
+    def recording(group, cache_dir=None):
+        alive_at_call.append(sum(ref() is not None for ref in built))
+        reps = group_irreps(group, cache_dir)
+        built.extend(weakref.ref(rep.stack) for rep in reps)
+        return reps
+
+    monkeypatch.setattr(bounds, "group_irreps", recording)
+    bounds.theorem_pipeline(n, 1, seed=0, trials=1)
+    assert built
+    assert alive_at_call == [0, 0]
 
 
 def test_pipeline_wreath2_k1_all_pass():

@@ -1,10 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cosetlab.cli import main
+from cosetlab.cli import _LEMMAS, main
 
 
 def run_json(capsys, argv):
@@ -112,6 +115,11 @@ def test_sample_flag_conflicts(capsys):
 
 def test_non_involution_m_rejected(capsys):
     assert main(["sample", "--group", "sym:3", "--weak", "--m", "(012)"]) == 2
+
+
+def test_verify_negative_k_is_a_usage_error(capsys):
+    assert main(["verify", "--lemma", "expected-decomp", "--k", "-2"]) == 2
+    assert "register count" in capsys.readouterr().err
 
 
 def test_verify_rank(capsys):
@@ -236,3 +244,49 @@ def test_bounds_tensor_cap_fails_before_any_work(monkeypatch, capsys):
     monkeypatch.setattr(bounds, "exact_weak_tv", refuse)
     assert main(["bounds", "--n", "4", "--k", "3", "--trials", "200"]) == 3
     assert "tensor cap" in capsys.readouterr().err
+
+
+_SPECS = ["sym:3", "wreath:2", "sym:0", "wreath:1", "sym:-1", "wreath:-2",
+          "foo:3", "wreath:9", "sym:x", "sym", ""]
+_M_TEXTS = ["(0 1)", "([1,0],[0,1],1)", "(0 1", "(01))", "((01)", "(0 9)",
+            "(a b)", "(0 0)", "(-1 0)", "[1,0", "[0,0,1]", "[]", "()", "x",
+            "([0],[1],2)", "([1,0],[0,1]", "([a],[0],1)", "(,,)"]
+_SMALL = st.integers(-2, 3)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(["irreps", "sample", "verify", "bounds"]))
+    spec = draw(st.sampled_from(_SPECS))
+    k = draw(st.integers(-2, 2))
+    trials = draw(st.integers(-2, 2))
+    if command == "irreps":
+        return ["irreps", "--group", spec]
+    if command == "sample":
+        argv = ["sample", "--group", spec, "--k", str(k)]
+        argv += draw(st.sampled_from([[], ["--weak"], ["--strong", "--label", "[2,1]"]]))
+        if draw(st.booleans()):
+            argv += ["--m", draw(st.sampled_from(_M_TEXTS))]
+        return argv
+    if command == "verify":
+        lemma = draw(st.sampled_from(sorted(_LEMMAS) + ["all"]))
+        argv = ["verify", "--lemma", lemma, "--k", str(k), "--trials", str(trials)]
+        if draw(st.booleans()):
+            argv += ["--group", spec]
+        return argv
+    return ["bounds", "--n", str(draw(_SMALL)), "--k", str(k),
+            "--trials", str(trials), "--threads", str(draw(_SMALL))]
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(argv=_argv())
+def test_cli_fuzz_exits_with_a_documented_code(argv):
+    # Every run is cheap (n <= 3, k <= 2, trials <= 2); any exception other
+    # than argparse's SystemExit is a traceback the user would see.
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code in (0, 1, 2, 3), (argv, sink.getvalue())

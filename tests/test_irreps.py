@@ -1,4 +1,3 @@
-import math
 import shutil
 from fractions import Fraction
 
@@ -11,7 +10,6 @@ from cosetlab.errors import (
     RepresentationDefectError,
 )
 from cosetlab.groups import (
-    SymmetricGroup,
     WreathGroup,
     cached_group,
     involution_class,
@@ -31,7 +29,6 @@ from cosetlab.irreps import (
     multiplicity,
     parse_label,
     plancherel,
-    sym_irreps,
     wreath_character,
     wreath_irreps,
     young_orthogonal_rep,

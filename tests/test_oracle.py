@@ -5,19 +5,14 @@ import pytest
 
 from cosetlab.distributions import SamplingDistribution
 from cosetlab.errors import CapExceededError, OutcomeMismatchError
-from cosetlab.groups import cached_group, involution_class, parse_cycles
+from cosetlab.groups import cached_group, parse_cycles
 from cosetlab.irreps import (
-    MatrixRep,
     class_character,
     character_table,
-    irrep_labels,
-    label_str,
-    multiplicity,
     wreath_irreps,
     young_orthogonal_rep,
 )
 from cosetlab.oracle import (
-    OracleResult,
     brute_expectation_overlap,
     brute_induced_rep,
     brute_multiregister_moments,

@@ -1,6 +1,22 @@
+import math
+
 import numpy as np
+import pytest
 
 from cosetlab.rng import CounterRng, derive_stream
+
+STREAMS = [(0,), (7, "bounds", 3), (42, "basis", 9), (2**64 + 5, "trial", 2**70)]
+
+
+def _doc_word(base, i):
+    # word(i) exactly as the module docstring writes it, in Python ints.
+    z = (base + (i + 1) * 0x9E3779B97F4A7C15) % 2**64
+    z ^= z >> 30
+    z = (z * 0xBF58476D1CE4E5B9) % 2**64
+    z ^= z >> 27
+    z = (z * 0x94D049BB133111EB) % 2**64
+    z ^= z >> 31
+    return z
 
 
 def test_frozen_words():
@@ -9,6 +25,32 @@ def test_frozen_words():
     assert r.word(0) == 0xE220A8397B1DCDAF
     assert r.word(1) == 0x6E789E6AA1B965F4
     assert CounterRng(7, "bounds", 3).word(0) == 0x38D0CB76CA9A3B31
+
+
+@pytest.mark.parametrize("path", STREAMS)
+@pytest.mark.parametrize("start", [0, 17, 2**40])
+def test_words_match_the_documented_word_formula(path, start):
+    r = CounterRng(*path)
+    base = derive_stream(*path)
+    for count in (0, 1, 4097):
+        w = r.words(start, count)
+        assert w.dtype == np.uint64 and w.shape == (count,)
+        assert w.tolist() == [_doc_word(base, start + i) for i in range(count)]
+        assert w.tolist() == [r.word(start + i) for i in range(count)]
+
+
+@pytest.mark.parametrize("path", STREAMS[:3])
+@pytest.mark.parametrize("start", [0, 5])
+def test_gaussians_match_the_documented_polar_form(path, start):
+    r = CounterRng(*path)
+    for count in (1, 7, 8, 2 * 27**2):
+        pairs = (count + 1) // 2
+        u = np.array([((r.word(start + 2 * j) >> 11) + 1) * 2.0**-53 for j in range(pairs)])
+        v = np.array([(r.word(start + 2 * j + 1) >> 11) * 2.0**-53 for j in range(pairs)])
+        radius = np.sqrt(-2.0 * np.log(u))
+        theta = 2.0 * math.pi * v
+        expected = np.stack([radius * np.cos(theta), radius * np.sin(theta)], axis=1)
+        assert np.array_equal(r.gaussians(count, start), expected.ravel()[:count])
 
 
 def test_counter_access_is_pure():

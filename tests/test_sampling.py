@@ -9,7 +9,6 @@ from cosetlab import oracle, sampling
 from cosetlab.errors import (
     CapExceededError,
     GroupMismatchError,
-    VerificationError,
     ZeroRankError,
 )
 from cosetlab.groups import cached_group, involution_class, parse_cycles
@@ -321,6 +320,8 @@ def test_projected_masses_match_oracle_per_member():
 def test_subsets_enumeration():
     assert subsets(2) == [(), (0,), (1,), (0, 1)]
     assert subsets(2, nonempty=True) == [(0,), (1,), (0, 1)]
+    with pytest.raises(ValueError):
+        subsets(-1)
 
 
 def test_subset_expectation_pinned_standard_rep():
