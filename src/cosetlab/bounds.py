@@ -255,9 +255,10 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
                       seed: int, trials: int,
                       tensor_cap: int = DEFAULT_TENSOR_CAP,
                       threads: int = 1,
-                      cache_dir: str | None = None) -> EnumerationStats:
+                      reps: tuple | None = None) -> EnumerationStats:
     """Enumerate every label tuple with its exact Plancherel and H weights;
-    average the per-basis distances with deterministic ordered reduction."""
+    average the per-basis distances with deterministic ordered reduction.
+    reps is the group's group_irreps tuple, built here when not given."""
     if trials < 1:
         raise ValueError("need at least one basis trial")
     labels = irrep_labels(group)
@@ -271,7 +272,9 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     hweight = weak_dist(group, hidden).exact_values()
     ranks = [weak_rank(group, l, hidden) for l in labels]
     members = [group.index(m) for m in M.members]
-    projs = [_member_projectors(rep, members) for rep in group_irreps(group, cache_dir)]
+    if reps is None:
+        reps = group_irreps(group)
+    projs = [_member_projectors(rep, members) for rep in reps]
     tuples = list(itertools.product(range(len(labels)), repeat=k))
 
     def run(args):
@@ -343,13 +346,15 @@ class SampledStats:
 def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
                         seed: int, trials: int,
                         tensor_cap: int = DEFAULT_TENSOR_CAP,
-                        cache_dir: str | None = None) -> SampledStats:
+                        reps: tuple | None = None) -> SampledStats:
     """Monte Carlo over (tuple, m, basis) triples: tuple per-register from
     the Plancherel measure, m uniform in M, basis Haar-seeded.  Returns the
-    per-triple L1 distances to uniform (pessimal 2 on zero-rank tuples)."""
+    per-triple L1 distances to uniform (pessimal 2 on zero-rank tuples).
+    reps is the group's group_irreps tuple, built here when not given."""
     _check_tensor_cap(group, k, tensor_cap)
     labels = irrep_labels(group)
-    reps = group_irreps(group, cache_dir)
+    if reps is None:
+        reps = group_irreps(group)
     hidden = HiddenSubgroup(group, M.representative)
     cum = np.cumsum(weak_dist(group, HiddenSubgroup(group)).values())
     ranks = [weak_rank(group, l, hidden) for l in labels]
@@ -553,7 +558,8 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "weak_tv": weak_b >= weak_x,
     }
     quantiles = None
-    control = _control_tv(group, group_irreps(group, cache_dir), k, seed, tensor_cap)
+    reps = group_irreps(group, cache_dir)
+    control = _control_tv(group, reps, k, seed, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:
@@ -562,7 +568,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
 
     if exact_ok:
         stats = exact_enumeration(
-            group, M, k, seed, trials, tensor_cap, threads, cache_dir
+            group, M, k, seed, trials, tensor_cap, threads, reps
         )
         exp_max = max(stats.expectation_tv)
         exp_mean = kahan_sum(stats.expectation_tv) / trials
@@ -587,7 +593,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         mode = "exact"
     else:
         sampled = sampled_enumeration(
-            group, M, k, seed, trials, tensor_cap, cache_dir
+            group, M, k, seed, trials, tensor_cap, reps
         )
         vals = np.array(sampled.values)
         ones = np.ones_like(vals)

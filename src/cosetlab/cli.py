@@ -153,6 +153,19 @@ class UsageError(Exception):
     pass
 
 
+_COUNT_NOUNS = {"k": "register", "trials": "trial", "threads": "thread"}
+
+
+def _require_counts(args, *names) -> None:
+    """UsageError unless every named count flag is at least 1."""
+    for name in names:
+        value = getattr(args, name)
+        if value < 1:
+            raise UsageError(
+                f"--{name} must be a positive {_COUNT_NOUNS[name]} count, got {value}"
+            )
+
+
 def _basis_for(args, dim: int, *stream) -> MeasurementBasis:
     if args.basis == "standard":
         return MeasurementBasis.standard(dim)
@@ -580,6 +593,7 @@ _LEMMAS = {
 
 
 def cmd_verify(args) -> int:
+    _require_counts(args, "k", "trials")
     if args.lemma == "all":
         names = list(_LEMMAS)
         args.trials = min(args.trials, 10)
@@ -615,6 +629,7 @@ def cmd_verify(args) -> int:
 # bounds
 
 def cmd_bounds(args) -> int:
+    _require_counts(args, "k", "trials", "threads")
     if args.lambda_all and args.labels:
         raise UsageError("--lambda-all and --labels are mutually exclusive")
     if args.lambda_all:

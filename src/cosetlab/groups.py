@@ -11,9 +11,20 @@ element s = ((e,e),1) swaps the two blocks; |W(n)| = 2*(n!)^2.
 
 Element enumeration order is deterministic: permutations in lexicographic
 order of their image tuples, wreath elements in lexicographic order of
-(alpha.images, beta.images, flip).  Conjugacy classes are computed by
-brute-force conjugation orbits; no cycle-type shortcuts are trusted, the
-cycle-type descriptor is attached afterwards and checked for constancy.
+(alpha.images, beta.images, flip).
+
+Each group also has one integer point-image array, row i the action of
+element i on a set of points: the image tuple for sym:n; for wreath:n the
+faithful action on 2n points, alpha on block 0..n-1 and beta on block
+n..2n-1 for flip 0, the blocks crossed for flip 1, plus two marker points
+that the flip swaps (without them wreath:0 would act trivially).
+point_rank maps rows back to enumeration indices: the Lehmer code for sym,
+(rank(alpha)*n! + rank(beta))*2 + flip for wreath.
+
+Conjugacy classes are brute-force orbits under conjugation by every
+element, computed on the point-image arrays; no cycle-type shortcuts are
+trusted, the cycle-type descriptor is attached afterwards and checked on
+every member.
 """
 
 from __future__ import annotations
@@ -252,6 +263,23 @@ class ConjugacyClass:
         return g in set(self.members)
 
 
+def _lex_permutations(n: int) -> np.ndarray:
+    """(n!, n) array of the image tuples of S_n in enumeration order."""
+    return np.array(list(itertools.permutations(range(n))), dtype=np.intp)
+
+
+def _lehmer_rank(rows: np.ndarray) -> np.ndarray:
+    """Lexicographic rank of each permutation row: its Lehmer code (entry i
+    counts the later entries below it) read in the factorial base."""
+    n = rows.shape[1]
+    rank = np.zeros(len(rows), dtype=np.intp)
+    for i in range(n):
+        rank *= n - i
+        for j in range(i + 1, n):
+            rank += rows[:, j] < rows[:, i]
+    return rank
+
+
 class FiniteGroup:
     """Shared brute-force machinery for the two supported families."""
 
@@ -262,10 +290,10 @@ class FiniteGroup:
         self.element_cap = element_cap
         self._elements: tuple | None = None
         self._index: dict | None = None
+        self._points: np.ndarray | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
-        self._class_of: dict | None = None
-        self._mult_table: np.ndarray | None = None
         self._class_indices: np.ndarray | None = None
+        self._mult_table: np.ndarray | None = None
 
     # Subclasses fill these in.
     @property
@@ -273,6 +301,13 @@ class FiniteGroup:
         raise NotImplementedError
 
     def _enumerate(self):
+        raise NotImplementedError
+
+    def _build_points(self) -> np.ndarray:
+        raise NotImplementedError
+
+    def point_rank(self, rows: np.ndarray) -> np.ndarray:
+        """Enumeration index of each point-image row."""
         raise NotImplementedError
 
     def identity(self):
@@ -297,16 +332,28 @@ class FiniteGroup:
     def spec(self) -> str:
         return f"{self.kind}:{self.n}"
 
+    def _check_cap(self) -> None:
+        if self.order > self.element_cap:
+            raise CapExceededError(
+                f"{self.spec} has {self.order} elements, cap is {self.element_cap}"
+            )
+
     @property
     def elements(self) -> tuple:
         if self._elements is None:
-            if self.order > self.element_cap:
-                raise CapExceededError(
-                    f"{self.spec} has {self.order} elements, cap is {self.element_cap}"
-                )
+            self._check_cap()
             self._elements = tuple(self._enumerate())
             assert len(self._elements) == self.order
         return self._elements
+
+    def point_images(self) -> np.ndarray:
+        """Read-only (|G|, points) int array; row i is the action of
+        elements[i] on the points (see the module docstring)."""
+        if self._points is None:
+            self._check_cap()
+            self._points = self._build_points()
+            self._points.setflags(write=False)
+        return self._points
 
     def index(self, g) -> int:
         if self._index is None:
@@ -324,63 +371,60 @@ class FiniteGroup:
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """Partition into classes by conjugation orbits, deterministic order.
 
-        Classes are ordered by their earliest member; members sorted by
-        enumeration index.  Cost is O(#classes * |G|) conjugations.
+        The orbit of g is {x^-1 g x : x in G}, brute force over every x at
+        once on the point-image array: with inv the inverse rows, the
+        conjugate by x is inv[x][g[x]], and point_rank maps it back to an
+        element index.  Classes are ordered by their earliest member;
+        members sorted by enumeration index; class_label is checked on
+        every member.  Cost is O(#classes * |G|) conjugations.
         """
         if self._classes is not None:
             return self._classes
         els = self.elements
-        assigned = [False] * len(els)
+        pts = self.point_images()
+        order, width = pts.shape
+        # flat positions: row x, point p -> x * width + p
+        rows = np.arange(order)[:, None] * width
+        inv = np.empty(order * width, dtype=pts.dtype)
+        inv[rows + pts] = np.arange(width)
+        class_indices = np.full(order, -1, dtype=np.int32)
         classes = []
-        class_of = {}
-        for i, g in enumerate(els):
-            if assigned[i]:
+        for i in range(order):
+            if class_indices[i] >= 0:
                 continue
-            orbit_idx = set()
-            for x in els:
-                h = x.inverse() * g * x
-                orbit_idx.add(self.index(h))
-            members = tuple(els[j] for j in sorted(orbit_idx))
+            in_orbit = np.zeros(order, dtype=bool)
+            in_orbit[self.point_rank(inv[rows + pts[i][pts]])] = True
+            orbit = np.flatnonzero(in_orbit)
+            members = tuple(els[j] for j in orbit.tolist())
             label = self.class_label(members[0])
             for h in members[1:]:
                 assert self.class_label(h) == label, "class label is not constant"
-            cls = ConjugacyClass(self, members[0], members, label)
-            for j in orbit_idx:
-                assigned[j] = True
-                class_of[els[j]] = cls
-            classes.append(cls)
+            class_indices[orbit] = len(classes)
+            classes.append(ConjugacyClass(self, members[0], members, label))
         assert sum(c.size for c in classes) == self.order
+        self._class_indices = class_indices
         self._classes = tuple(classes)
-        self._class_of = class_of
         return self._classes
 
     def class_of(self, g) -> ConjugacyClass:
-        if self._class_of is None:
-            self.conjugacy_classes()
-        try:
-            return self._class_of[g]
-        except KeyError:
-            raise GroupMismatchError(f"{g} is not an element of {self.spec}") from None
+        return self.conjugacy_classes()[self.class_position(g)]
 
     def multiplication_table(self) -> np.ndarray:
         """table[i, j] = index of elements[i] * elements[j].  O(|G|^2)."""
         if self._mult_table is None:
-            els = self.elements
-            self.index(self.identity())  # force the index map
-            idx = self._index
-            self._mult_table = np.array(
-                [[idx[g * h] for h in els] for g in els], dtype=np.int32
+            pts = self.point_images()
+            order, width = pts.shape
+            # (g_i * g_j)(p) = g_i(g_j(p))
+            products = pts[:, pts].reshape(order * order, width)
+            self._mult_table = (
+                self.point_rank(products).reshape(order, order).astype(np.int32)
             )
         return self._mult_table
 
     def class_indices(self) -> np.ndarray:
         """Per element (in enumeration order), the index of its class."""
         if self._class_indices is None:
-            classes = self.conjugacy_classes()
-            pos = {id(c): i for i, c in enumerate(classes)}
-            self._class_indices = np.array(
-                [pos[id(self.class_of(g))] for g in self.elements], dtype=np.int32
-            )
+            self.conjugacy_classes()
         return self._class_indices
 
     def class_position(self, g) -> int:
@@ -398,6 +442,12 @@ class SymmetricGroup(FiniteGroup):
     def _enumerate(self):
         for images in itertools.permutations(range(self.n)):
             yield Permutation(images)
+
+    def _build_points(self) -> np.ndarray:
+        return _lex_permutations(self.n)
+
+    def point_rank(self, rows: np.ndarray) -> np.ndarray:
+        return _lehmer_rank(rows)
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.n)
@@ -428,6 +478,32 @@ class WreathGroup(FiniteGroup):
             for beta in perms:
                 for flip in (0, 1):
                     yield WreathElement(alpha, beta, flip)
+
+    def _build_points(self) -> np.ndarray:
+        # Axes (alpha, beta, flip, point): flip 0 maps i -> alpha(i) and
+        # n+i -> n+beta(i); flip 1 maps i -> n+beta(i) and n+i -> alpha(i);
+        # the flip swaps the markers 2n and 2n+1.
+        n = self.n
+        perms = _lex_permutations(n)
+        f = len(perms)
+        out = np.empty((f, f, 2, 2 * n + 2), dtype=np.intp)
+        out[:, :, 0, :n] = perms[:, None]
+        out[:, :, 0, n:2 * n] = perms[None, :] + n
+        out[:, :, 1, :n] = perms[None, :] + n
+        out[:, :, 1, n:2 * n] = perms[:, None]
+        out[:, :, 0, 2 * n:] = (2 * n, 2 * n + 1)
+        out[:, :, 1, 2 * n:] = (2 * n + 1, 2 * n)
+        return out.reshape(2 * f * f, 2 * n + 2)
+
+    def point_rank(self, rows: np.ndarray) -> np.ndarray:
+        n = self.n
+        flip = rows[:, 2 * n] - 2 * n
+        first, second = rows[:, :n], rows[:, n:2 * n]
+        # flip 1 rows hold n+beta(i) in the first half and alpha(i) in the second
+        swap = flip[:, None] * (second - first)
+        alpha = first + swap
+        beta = second - swap - n
+        return (_lehmer_rank(alpha) * math.factorial(n) + _lehmer_rank(beta)) * 2 + flip
 
     def identity(self) -> WreathElement:
         return WreathElement.identity(self.n)

@@ -362,11 +362,6 @@ def _swap_matrix(d: int) -> np.ndarray:
     return s
 
 
-def _wreath_element_index(group: WreathGroup, sym: SymmetricGroup, g: WreathElement) -> int:
-    f = sym.order
-    return (sym.index(g.alpha) * f + sym.index(g.beta)) * 2 + g.flip
-
-
 def _diagonal_stack(r_stack: np.ndarray, sign: int) -> np.ndarray:
     f, d, _ = r_stack.shape
     big = np.einsum("aij,bkl->abikjl", r_stack, r_stack).reshape(f, f, d * d, d * d)
@@ -422,11 +417,10 @@ def wreath_irreps(n: int, cache_dir: str | None = None) -> tuple[Irrep, ...]:
             f"wreath irrep matrices are capped at n <= {MAX_WREATH_N}, got n = {n}"
         )
     grp = cached_group(f"wreath:{n}")
-    sym = cached_group(f"sym:{n}")
-    # The wreath enumeration is (alpha, beta, flip) nested loops over the
-    # lex-ordered permutations, so the index formula below holds; assert once.
-    probe = grp.elements[min(3, grp.order - 1)]
-    assert _wreath_element_index(grp, sym, probe) == grp.index(probe)
+    # The stacks below put ((alpha, beta), flip) at (a * n! + b) * 2 + flip,
+    # with a and b the sym:n indices of alpha and beta: the group's
+    # point_rank, which must give every element its own index.
+    assert np.array_equal(grp.point_rank(grp.point_images()), np.arange(grp.order))
 
     sym_stacks = {lam: young_orthogonal_rep(lam, cache_dir).stack for lam in partitions(n)}
     table = character_table(grp)

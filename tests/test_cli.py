@@ -7,6 +7,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cosetlab import cli
 from cosetlab.cli import _LEMMAS, main
 
 
@@ -120,6 +121,25 @@ def test_non_involution_m_rejected(capsys):
 def test_verify_negative_k_is_a_usage_error(capsys):
     assert main(["verify", "--lemma", "expected-decomp", "--k", "-2"]) == 2
     assert "register count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--lemma", "expectation", "--k", "2", "--trials", "-1"],
+    ["verify", "--lemma", "all", "--trials", "0"],
+    ["verify", "--lemma", "expected-decomp", "--k", "0"],
+    ["bounds", "--n", "2", "--threads", "-2"],
+    ["bounds", "--n", "2", "--threads", "0"],
+    ["bounds", "--n", "2", "--k", "0"],
+    ["bounds", "--n", "2", "--trials", "-1"],
+], ids=" ".join)
+def test_out_of_range_count_is_a_usage_error(monkeypatch, capsys, argv):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work ran before the count check")
+
+    monkeypatch.setattr(cli, "_group", refuse)
+    monkeypatch.setattr(cli.bounds_mod, "theorem_pipeline", refuse)
+    assert main(argv) == 2
+    assert "must be a positive" in capsys.readouterr().err
 
 
 def test_verify_rank(capsys):
@@ -290,3 +310,7 @@ def test_cli_fuzz_exits_with_a_documented_code(argv):
     except SystemExit as exc:
         code = exc.code
     assert code in (0, 1, 2, 3), (argv, sink.getvalue())
+    counts = [int(argv[i + 1]) for i, a in enumerate(argv)
+              if a in ("--k", "--trials", "--threads")]
+    if argv[0] in ("verify", "bounds") and min(counts) < 1:
+        assert code == 2, (argv, sink.getvalue())

@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cosetlab.errors import (
     CapExceededError,
@@ -14,6 +16,7 @@ from cosetlab.groups import (
     SymmetricGroup,
     WreathElement,
     WreathGroup,
+    cached_group,
     conjugate,
     group_from_spec,
     involution_class,
@@ -149,6 +152,72 @@ def test_class_equation(spec):
         member_set = set(cls.members)
         for x in grp.elements:
             assert conjugate(cls.representative, x) in member_set
+
+
+_SMALL_SPECS = [f"sym:{n}" for n in range(6)] + [f"wreath:{n}" for n in range(4)]
+
+
+def _orbit_partition(grp):
+    """Classes as orbits under conjugation, one element object at a time:
+    (representative, members in enumeration order, label) per class."""
+    els = grp.elements
+    assigned = set()
+    out = []
+    for i, g in enumerate(els):
+        if i in assigned:
+            continue
+        orbit = sorted({grp.index(x.inverse() * g * x) for x in els})
+        assigned.update(orbit)
+        members = tuple(els[j] for j in orbit)
+        out.append((members[0], members, grp.class_label(members[0])))
+    return out
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS + ["wreath:4"])
+def test_classes_match_the_object_level_orbit_loop(spec):
+    grp = cached_group(spec)
+    got = [(c.representative, c.members, c.label) for c in grp.conjugacy_classes()]
+    assert got == _orbit_partition(grp)
+    for i, cls in enumerate(grp.conjugacy_classes()):
+        assert all(grp.class_label(g) == cls.label for g in cls.members)
+        assert all(grp.class_of(g) is cls for g in cls.members)
+        assert (grp.class_indices()[[grp.index(g) for g in cls.members]] == i).all()
+
+
+@pytest.mark.parametrize("spec", ["sym:0", "sym:4", "wreath:0", "wreath:2", "wreath:3"])
+def test_multiplication_table_is_the_product_index(spec):
+    grp = group_from_spec(spec)
+    els = grp.elements
+    expected = [[grp.index(g * h) for h in els] for g in els]
+    table = grp.multiplication_table()
+    assert table.dtype == np.int32
+    assert table.tolist() == expected
+
+
+def _action(g):
+    """The documented point action of a permutation or wreath element."""
+    if isinstance(g, Permutation):
+        return list(g.images)
+    n = g.degree
+    a, b = list(g.alpha.images), [n + j for j in g.beta.images]
+    return (a + b + [2 * n, 2 * n + 1]) if g.flip == 0 else (b + a + [2 * n + 1, 2 * n])
+
+
+@pytest.mark.parametrize("spec", _SMALL_SPECS + ["wreath:4"])
+def test_point_images_rank_back_to_enumeration_order(spec):
+    grp = cached_group(spec)
+    pts = grp.point_images()
+    assert not pts.flags.writeable
+    assert pts.tolist() == [_action(g) for g in grp.elements]
+    assert np.array_equal(grp.point_rank(pts), np.arange(grp.order))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(i=st.integers(0, 1151), j=st.integers(0, 1151))
+def test_conjugation_keeps_the_class_position_wreath4(i, j):
+    grp = cached_group("wreath:4")
+    g, x = grp.elements[i], grp.elements[j]
+    assert grp.class_position(conjugate(g, x)) == grp.class_position(g)
 
 
 def test_involution_class_wreath2():
