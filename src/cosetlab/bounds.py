@@ -41,8 +41,21 @@ from math import prod, sqrt
 import numpy as np
 
 from .errors import BoundUndefinedError, CapExceededError, GroupMismatchError
-from .groups import ConjugacyClass, FiniteGroup, cached_group, involution_class
-from .irreps import character_table, group_irreps, irrep_labels, label_str
+from .groups import (
+    ConjugacyClass,
+    FiniteGroup,
+    WreathGroup,
+    cached_group,
+    involution_class,
+)
+from .irreps import (
+    DiagonalLabel,
+    character_table,
+    group_irreps,
+    irrep_labels,
+    label_str,
+    parse_label,
+)
 from .oracle import exact_tv
 from .parallel import kahan_sum, ordered_map
 from .rng import CounterRng
@@ -58,6 +71,7 @@ from .sampling import (
     weak_dist_tuples,
     weak_rank,
 )
+from .tableaux import dimension
 
 TOL = 1e-9
 PESSIMAL_TV = 2.0
@@ -93,9 +107,6 @@ class BadSet:
 def cutoff_labels(group: FiniteGroup, n: int) -> frozenset:
     """Diagonal labels whose base partition dimension d satisfies d^5 < n^n,
     checked in exact integer arithmetic."""
-    from .irreps import DiagonalLabel
-    from .tableaux import dimension
-
     picked = set()
     for lab in irrep_labels(group):
         if isinstance(lab, DiagonalLabel) and dimension(lab.rho) ** 5 < n ** n:
@@ -106,9 +117,6 @@ def cutoff_labels(group: FiniteGroup, n: int) -> frozenset:
 def build_bad_set(group: FiniteGroup, M: ConjugacyClass, rule) -> BadSet:
     """rule: the string "paper" (dimension-cutoff set over a wreath group),
     "empty", or an explicit iterable of labels / label strings."""
-    from .groups import WreathGroup
-    from .irreps import parse_label
-
     if rule == CUTOFF_RULE:
         if not isinstance(group, WreathGroup):
             raise GroupMismatchError("the dimension cutoff rule needs a wreath group")
@@ -530,8 +538,7 @@ def _control_tv(group, reps, k, seed, tensor_cap) -> float:
 
 def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
                      rule=CUTOFF_RULE, tensor_cap: int = DEFAULT_TENSOR_CAP,
-                     threads: int = 1,
-                     cache_dir: str | None = None) -> BoundReport:
+                     threads: int = 1) -> BoundReport:
     """End-to-end bound report over the wreath group on 2n points."""
     group = cached_group(f"wreath:{n}")
     M = involution_class(group)
@@ -558,7 +565,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "weak_tv": weak_b >= weak_x,
     }
     quantiles = None
-    reps = group_irreps(group, cache_dir)
+    reps = group_irreps(group)
     control = _control_tv(group, reps, k, seed, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None

@@ -18,6 +18,7 @@ generator.
 from __future__ import annotations
 
 import argparse
+import itertools
 import sys
 from fractions import Fraction
 from math import prod
@@ -45,7 +46,9 @@ from .groups import (
     parse_wreath_element,
 )
 from .irreps import (
+    DiagonalLabel,
     MatrixRep,
+    PairLabel,
     character_table,
     group_irreps,
     label_str,
@@ -82,6 +85,7 @@ from .sampling import (
     weak_dist_tuples,
     weak_rank,
 )
+from .tableaux import dimension, partitions
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -97,18 +101,6 @@ TUPLE_REPORT_CAP = 10_000
 def _add_output_flags(p):
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
-
-
-def _add_cache_flags(p):
-    p.add_argument("--cache-dir", default=None,
-                   help="irrep matrix cache directory (default: COSETLAB_CACHE_DIR)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="ignore both --cache-dir and the environment")
-
-
-def _cache_dir(args):
-    # empty string defeats the environment fallback
-    return "" if args.no_cache else args.cache_dir
 
 
 def _group(spec: str) -> FiniteGroup:
@@ -257,7 +249,7 @@ def cmd_sample(args) -> int:
             raise UsageError("--strong needs --label")
         target = parse_label(args.label)
         rep = next(
-            (r for r in group_irreps(group, _cache_dir(args)) if r.label == target),
+            (r for r in group_irreps(group) if r.label == target),
             None,
         )
         if rep is None:
@@ -288,13 +280,12 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
             f"{len(names)}^{k} tuples exceed the report cap {TUPLE_REPORT_CAP}"
         )
     weak_exact = weak_dist(group, hidden).exact_values()
-    reps = group_irreps(group, _cache_dir(args))
-    import itertools as it
+    reps = group_irreps(group)
 
     entries = []
     csv_rows = []
     total = Fraction(0)
-    for idx, tup in enumerate(it.product(range(len(names)), repeat=k)):
+    for idx, tup in enumerate(itertools.product(range(len(names)), repeat=k)):
         prob = prod((weak_exact[i] for i in tup), start=Fraction(1))
         total += prob
         D = prod(reps[i].dim for i in tup)
@@ -356,12 +347,12 @@ def _random_registers(reps, rng, k, tensor_cap):
     return RegisterTuple(tup, tensor_cap=tensor_cap)
 
 
-def _lemma_rank(args) -> list:
+def _lemma_rank(args, irreps_of) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2", "wreath:3")):
         M = _involution(group)
         hidden = HiddenSubgroup(group, M.representative)
-        for rep in group_irreps(group, _cache_dir(args)):
+        for rep in irreps_of(group):
             proj = 0.5 * (np.eye(rep.dim) + rebuilt_matrix(rep, M.representative))
             trace = np.trace(proj).real
             oracle_rank = int(round(trace))
@@ -374,11 +365,11 @@ def _lemma_rank(args) -> list:
     return results
 
 
-def _lemma_expectation(args) -> list:
+def _lemma_expectation(args, irreps_of) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
         M = _involution(group)
-        reps = group_irreps(group, _cache_dir(args))
+        reps = irreps_of(group)
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "expectation", group.spec, t)
             regs = _random_registers(reps, rng, args.k, args.tensor_cap)
@@ -401,11 +392,11 @@ def _lemma_expectation(args) -> list:
     return results
 
 
-def _lemma_second_moment(args) -> list:
+def _lemma_second_moment(args, irreps_of) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
         M = _involution(group)
-        reps = group_irreps(group, _cache_dir(args))
+        reps = irreps_of(group)
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "second-moment", group.spec, t)
             regs = _random_registers(reps, rng, args.k, args.tensor_cap)
@@ -430,11 +421,11 @@ def _lemma_second_moment(args) -> list:
     return results
 
 
-def _lemma_multiregister(args) -> list:
+def _lemma_multiregister(args, irreps_of) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
         M = _involution(group)
-        reps = group_irreps(group, _cache_dir(args))
+        reps = irreps_of(group)
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "multiregister", group.spec, t)
             regs = _random_registers(reps, rng, args.k, args.tensor_cap)
@@ -454,10 +445,10 @@ def _lemma_multiregister(args) -> list:
     return results
 
 
-def _lemma_claim_average(args) -> list:
+def _lemma_claim_average(args, irreps_of) -> list:
     results = []
     for group in _default_groups(args, ("sym:3", "wreath:2")):
-        reps = group_irreps(group, _cache_dir(args))
+        reps = irreps_of(group)
         for rep in reps:
             for t in range(min(args.trials, 5)):
                 rng = CounterRng(args.seed, "verify", "claim", group.spec,
@@ -482,10 +473,10 @@ def _lemma_claim_average(args) -> list:
     return results
 
 
-def _lemma_projector_sum(args) -> list:
+def _lemma_projector_sum(args, irreps_of) -> list:
     results = []
     for group in _default_groups(args, ("wreath:2",)):
-        reps = group_irreps(group, _cache_dir(args))
+        reps = irreps_of(group)
         for t in range(args.trials):
             rng = CounterRng(args.seed, "verify", "projector-sum", group.spec, t)
             regs = _random_registers(reps, rng, args.k, args.tensor_cap)
@@ -501,10 +492,7 @@ def _lemma_projector_sum(args) -> list:
     return results
 
 
-def _lemma_induced(args) -> list:
-    from .irreps import DiagonalLabel, PairLabel
-    from .tableaux import partitions
-
+def _lemma_induced(args, irreps_of) -> list:
     results = []
     if args.group:
         group = _group(args.group)
@@ -537,14 +525,12 @@ def _lemma_induced(args) -> list:
         # the diagonal labels on flip elements
         M = involution_class(group)
         pos = group.class_position(M.representative)
-        for rep in group_irreps(group, _cache_dir(args)):
+        for rep in irreps_of(group):
             lab = rep.label
             chi = Fraction(int(rep.characters[pos]), rep.dim)
             if isinstance(lab, PairLabel):
                 want = Fraction(0)
             else:
-                from .tableaux import dimension
-
                 want = Fraction(lab.sign, dimension(lab.rho))
             results.append(exact_result(
                 f"normalized char at M wreath:{n} {rep.name}", want, chi))
@@ -561,7 +547,7 @@ def _lemma_induced(args) -> list:
     return results
 
 
-def _lemma_expected_decomp(args) -> list:
+def _lemma_expected_decomp(args, irreps_of) -> list:
     results = []
     if args.group:
         configs = [(_group(args.group), args.k)]
@@ -599,9 +585,17 @@ def cmd_verify(args) -> int:
         args.trials = min(args.trials, 10)
     else:
         names = [args.lemma]
+    built = {}
+
+    def irreps_of(group: FiniteGroup) -> tuple:
+        # one set of stacks per group spec for the whole run
+        if group.spec not in built:
+            built[group.spec] = group_irreps(group)
+        return built[group.spec]
+
     results = []
     for name in names:
-        results.extend(_LEMMAS[name](args))
+        results.extend(_LEMMAS[name](args, irreps_of))
     failed = [r for r in results if not r.passed]
     payload = {
         "command": "verify",
@@ -641,7 +635,6 @@ def cmd_bounds(args) -> int:
     report = bounds_mod.theorem_pipeline(
         args.n, args.k, seed=args.seed, trials=args.trials, rule=rule,
         tensor_cap=args.tensor_cap, threads=args.threads,
-        cache_dir=_cache_dir(args),
     )
     if args.full_tvd and report.full_bound_undefined:
         print("full bound undefined: the largest normalized character outside "
@@ -668,7 +661,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("irreps", help="list irreps with exact integrity checks")
     p.add_argument("--group", required=True, help="sym:n or wreath:n")
     _add_output_flags(p)
-    _add_cache_flags(p)
     p.set_defaults(func=cmd_irreps)
 
     p = sub.add_parser("sample", help="emit measurement distributions")
@@ -690,7 +682,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP)
     _add_output_flags(p)
-    _add_cache_flags(p)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("verify", help="formula-vs-oracle comparisons")
@@ -702,7 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP)
     _add_output_flags(p)
-    _add_cache_flags(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("bounds", help="bound-chain report for wreath:n")
@@ -722,7 +712,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, default=1)
     p.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP)
     _add_output_flags(p)
-    _add_cache_flags(p)
     p.set_defaults(func=cmd_bounds)
     return parser
 

@@ -4,7 +4,18 @@ S_n irreps use Young's orthogonal form: the adjacent transposition (i,i+1)
 acts on standard tableaux with diagonal entry 1/axial-distance and an
 off-diagonal coupling to the letter-swapped tableau when that is standard.
 General elements are filled in by a breadth-first walk over the Cayley graph
-of adjacent transpositions, one matrix product per element.
+of adjacent transpositions, one matrix product per element:
+stack[g * s] = stack[g] @ stack[s] for the parent g and generator s through
+which the walk first reaches g * s.  The walk goes one level at a time on the
+group's point-image array.  The children g * s of a whole level are ranked
+at once, listed in frontier order and, within one frontier element, in
+generator order; each new element takes the first pair in that list as its
+parent, and the new elements in list order are the next frontier.  A
+first-in-first-out queue that pops g and pushes each unseen g * s in
+generator order visits the same levels in the same order and picks the same
+parents, so every element's matrix is the same chain of float64 products
+as that queue walk gives, bit for bit; the products of one level are one
+batched matmul.
 
 W(n) irreps come in two families:
 
@@ -26,10 +37,8 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
-from pathlib import Path
 
 import numpy as np
 
@@ -58,8 +67,6 @@ EPS = 1e-9
 TRACE_INT_TOL = 1e-6
 MAX_YOR_N = 7
 MAX_WREATH_N = 4
-CACHE_VERSION = 1
-CACHE_ENV = "COSETLAB_CACHE_DIR"
 
 
 # ---------------------------------------------------------------------------
@@ -136,14 +143,6 @@ def label_dim(label) -> int:
     raise TypeError(f"not an irrep label: {label!r}")
 
 
-def label_filename(label) -> str:
-    table = str.maketrans(
-        {"[": "", "]": "", ",": "-", "{": "pair-", "}": "", "(": "diag-",
-         ")": "", "+": "plus", "-": "minus", " ": ""}
-    )
-    return label_str(label).translate(table)
-
-
 def irrep_labels(group: FiniteGroup) -> tuple:
     """All irrep labels of the group, in the package's fixed order: the
     cached label tuple of its character table.
@@ -173,9 +172,6 @@ class MatrixRep:
 
     def matrix(self, g) -> np.ndarray:
         return self.stack[self.group.index(g)]
-
-    def matrices(self) -> dict:
-        return {g: self.stack[i] for i, g in enumerate(self.group.elements)}
 
     def traces(self) -> np.ndarray:
         return np.einsum("gii->g", self.stack)
@@ -232,10 +228,6 @@ class Irrep(MatrixRep):
         super().__init__(group, stack, name=label_str(label))
         self.label = label
         self.characters = characters
-
-    @property
-    def dimension(self) -> int:
-        return self.dim
 
     def character(self, g) -> int:
         return int(self.characters[self.group.class_position(g)])
@@ -295,34 +287,41 @@ def _yor_generator(lam: Partition, i: int) -> np.ndarray:
     return mat
 
 
-def _extend_by_generators(group: FiniteGroup, gens, dim: int) -> np.ndarray:
-    """Fill a full matrix stack from generator matrices by a BFS over the
-    Cayley graph; one matrix product per element."""
-    count = group.order
-    stack = np.zeros((count, dim, dim))
-    e = group.identity()
-    ei = group.index(e)
-    stack[ei] = np.eye(dim)
-    seen = np.zeros(count, dtype=bool)
-    seen[ei] = True
-    queue = [e]
-    head = 0
-    while head < len(queue):
-        g = queue[head]
-        head += 1
-        gi = group.index(g)
-        for s_el, s_mat in gens:
-            h = g * s_el
-            hi = group.index(h)
-            if not seen[hi]:
-                seen[hi] = True
-                stack[hi] = stack[gi] @ s_mat
-                queue.append(h)
+def _extend_by_generators(group: FiniteGroup, images: np.ndarray,
+                          mats: np.ndarray) -> np.ndarray:
+    """Fill a full matrix stack from generator matrices by the level-at-a-time
+    Cayley-graph walk of the module docstring.
+
+    images[j] is the point-image row of generator s_j and mats[j] its
+    (d, d) matrix; the point row of g * s_j is g's row indexed by
+    images[j]."""
+    pts = group.point_images()
+    order, width = pts.shape
+    gens, dim = len(mats), mats.shape[1]
+    stack = np.empty((order, dim, dim))
+    e = group.index(group.identity())
+    stack[e] = np.eye(dim)
+    seen = np.zeros(order, dtype=bool)
+    seen[e] = True
+    frontier = np.array([e])
+    while frontier.size:
+        # position p holds frontier[p // gens] * s_(p % gens)
+        kids = group.point_rank(
+            pts[frontier][:, images.ravel()].reshape(frontier.size * gens, width))
+        positions = np.arange(kids.size)
+        first = np.full(order, kids.size)
+        np.minimum.at(first, kids, positions)
+        found = np.flatnonzero((first[kids] == positions) & ~seen[kids])
+        parents, which = np.divmod(found, gens)
+        parents = frontier[parents]
+        frontier = kids[found]
+        seen[frontier] = True
+        stack[frontier] = stack[parents] @ mats[which]
     assert seen.all(), "generators do not generate the group"
     return stack
 
 
-def young_orthogonal_rep(lam, cache_dir: str | None = None) -> Irrep:
+def young_orthogonal_rep(lam) -> Irrep:
     """The S_n irrep of shape lam in Young's orthogonal form."""
     lam = check_partition(lam)
     n = sum(lam)
@@ -332,23 +331,20 @@ def young_orthogonal_rep(lam, cache_dir: str | None = None) -> Irrep:
         )
     group = cached_group(f"sym:{n}")
     d = dimension(lam)
-    stack = _cache_load(cache_dir, group, lam)
-    if stack is None:
-        gens = []
-        for i in range(n - 1):
-            images = list(range(n))
-            images[i], images[i + 1] = images[i + 1], images[i]
-            from .groups import Permutation
-
-            gens.append((Permutation(tuple(images)), _yor_generator(lam, i)))
-        stack = _extend_by_generators(group, gens, d)
-        _cache_store(cache_dir, group, lam, stack)
+    # generator i is the adjacent transposition (i, i+1)
+    gens = max(n - 1, 0)
+    images = np.tile(np.arange(n), (gens, 1))
+    mats = np.empty((gens, d, d))
+    for i in range(gens):
+        images[i, i : i + 2] = (i + 1, i)
+        mats[i] = _yor_generator(lam, i)
+    stack = _extend_by_generators(group, images, mats)
     table = character_table(group)
     return Irrep(group, lam, stack, table.chi[table.position(lam)])
 
 
-def sym_irreps(n: int, cache_dir: str | None = None) -> tuple[Irrep, ...]:
-    return tuple(young_orthogonal_rep(lam, cache_dir) for lam in partitions(n))
+def sym_irreps(n: int) -> tuple[Irrep, ...]:
+    return tuple(young_orthogonal_rep(lam) for lam in partitions(n))
 
 
 # ---------------------------------------------------------------------------
@@ -410,7 +406,7 @@ def wreath_character(label, g: WreathElement) -> int:
     raise TypeError(f"not a wreath irrep label: {label!r}")
 
 
-def wreath_irreps(n: int, cache_dir: str | None = None) -> tuple[Irrep, ...]:
+def wreath_irreps(n: int) -> tuple[Irrep, ...]:
     """All irreps of W(n) with explicit matrices, in irrep_labels order."""
     if n > MAX_WREATH_N:
         raise CapExceededError(
@@ -422,27 +418,24 @@ def wreath_irreps(n: int, cache_dir: str | None = None) -> tuple[Irrep, ...]:
     # point_rank, which must give every element its own index.
     assert np.array_equal(grp.point_rank(grp.point_images()), np.arange(grp.order))
 
-    sym_stacks = {lam: young_orthogonal_rep(lam, cache_dir).stack for lam in partitions(n)}
+    sym_stacks = {lam: young_orthogonal_rep(lam).stack for lam in partitions(n)}
     table = character_table(grp)
     out = []
     for lab, chi in zip(table.labels, table.chi):
-        stack = _cache_load(cache_dir, grp, lab)
-        if stack is None:
-            if isinstance(lab, DiagonalLabel):
-                stack = _diagonal_stack(sym_stacks[lab.rho], lab.sign)
-            else:
-                stack = _pair_stack(sym_stacks[lab.first], sym_stacks[lab.second])
-            _cache_store(cache_dir, grp, lab, stack)
+        if isinstance(lab, DiagonalLabel):
+            stack = _diagonal_stack(sym_stacks[lab.rho], lab.sign)
+        else:
+            stack = _pair_stack(sym_stacks[lab.first], sym_stacks[lab.second])
         out.append(Irrep(grp, lab, stack, chi))
     assert sum(ir.dim**2 for ir in out) == grp.order
     return tuple(out)
 
 
-def group_irreps(group: FiniteGroup, cache_dir: str | None = None) -> tuple[Irrep, ...]:
+def group_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
     if isinstance(group, SymmetricGroup):
-        return sym_irreps(group.n, cache_dir)
+        return sym_irreps(group.n)
     if isinstance(group, WreathGroup):
-        return wreath_irreps(group.n, cache_dir)
+        return wreath_irreps(group.n)
     raise GroupMismatchError(f"unsupported group {group!r}")
 
 
@@ -605,68 +598,3 @@ def isotypic_projector(rep: MatrixRep, sigma, eps: float = EPS) -> IsotypicProje
             f"projector trace {tr!r} != multiplicity*dim = {a * d_sigma}"
         )
     return IsotypicProjector(table.names[i], mat, a, d_sigma)
-
-
-# ---------------------------------------------------------------------------
-# Disk cache for matrix stacks (pure performance layer)
-
-def resolve_cache_dir(cache_dir: str | None) -> str | None:
-    if cache_dir is not None:
-        return cache_dir or None
-    return os.environ.get(CACHE_ENV) or None
-
-
-def _cache_file(cache_dir: str, group: FiniteGroup, label) -> Path:
-    name = f"{group.kind}{group.n}__{label_filename(label)}__v{CACHE_VERSION}.npz"
-    return Path(cache_dir) / name
-
-
-def _cache_load(cache_dir, group, label) -> np.ndarray | None:
-    """The cached matrix stack of an irrep, or None when there is no file or
-    the file does not check out: its version, group and label fields, its
-    shape, and its traces against the character table row (within EPS).
-    The caller rebuilds the stack and overwrites the file on None."""
-    cache_dir = resolve_cache_dir(cache_dir)
-    if not cache_dir:
-        return None
-    path = _cache_file(cache_dir, group, label)
-    if not path.exists():
-        return None
-    try:
-        with np.load(path) as data:
-            meta = (int(data["version"]), str(data["group"]), str(data["label"]))
-            real, imag = data["real"], data["imag"]
-    except (OSError, KeyError, ValueError):
-        return None
-    table = character_table(group)
-    i = table.position(label)
-    d = int(table.dims[i])
-    if meta != (CACHE_VERSION, group.spec, table.names[i]):
-        return None
-    if real.shape != (group.order, d, d) or imag.shape != real.shape:
-        return None
-    stack = real if not imag.any() else real + 1j * imag
-    expected = table.chi[i][group.class_indices()]
-    if np.max(np.abs(np.einsum("gii->g", stack) - expected)) > EPS:
-        return None
-    return stack
-
-
-def _cache_store(cache_dir, group, label, stack) -> None:
-    cache_dir = resolve_cache_dir(cache_dir)
-    if not cache_dir:
-        return
-    path = _cache_file(cache_dir, group, label)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.parent / f"{path.stem}.tmp-{os.getpid()}.npz"
-    # Row-major real/imag float64 pairs; little-endian on every platform numpy
-    # supports.  Create-then-rename keeps concurrent readers safe.
-    np.savez(
-        tmp,
-        version=np.int64(CACHE_VERSION),
-        group=group.spec,
-        label=label_str(label),
-        real=np.ascontiguousarray(np.real(stack), dtype=np.float64),
-        imag=np.ascontiguousarray(np.imag(stack), dtype=np.float64),
-    )
-    os.replace(tmp, path)

@@ -157,10 +157,10 @@ class RegisterTuple:
             )
 
     @classmethod
-    def from_labels(cls, group: FiniteGroup, labels, cache_dir: str | None = None,
+    def from_labels(cls, group: FiniteGroup, labels,
                     tensor_cap: int = DEFAULT_TENSOR_CAP) -> "RegisterTuple":
         names = character_table(group).names
-        reps = group_irreps(group, cache_dir)
+        reps = group_irreps(group)
         picked = []
         for lab in labels:
             key = lab if isinstance(lab, str) else label_str(lab)

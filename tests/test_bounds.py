@@ -210,9 +210,9 @@ def test_pipeline_frees_its_stacks_before_the_enumeration_builds_more(monkeypatc
     built = []
     alive_at_call = []
 
-    def recording(group, cache_dir=None):
+    def recording(group):
         alive_at_call.append(sum(ref() is not None for ref in built))
-        reps = group_irreps(group, cache_dir)
+        reps = group_irreps(group)
         built.extend(weakref.ref(rep.stack) for rep in reps)
         return reps
 

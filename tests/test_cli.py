@@ -174,6 +174,36 @@ def test_verify_all_small(capsys):
     assert d["pass_count"] > 150
 
 
+def test_verify_builds_each_groups_stacks_once(monkeypatch, capsys):
+    group_irreps = cli.group_irreps
+    built = []
+
+    def recording(group):
+        built.append(group.spec)
+        return group_irreps(group)
+
+    monkeypatch.setattr(cli, "group_irreps", recording)
+    code, d = run_json(capsys, ["verify", "--lemma", "all", "--group", "wreath:3",
+                                "--k", "2", "--trials", "1"])
+    assert code == 0 and d["all_pass"]
+    assert built == ["wreath:3"]
+
+
+@pytest.mark.parametrize("command", [
+    ["irreps", "--group", "sym:3"],
+    ["sample", "--group", "sym:3", "--weak"],
+    ["verify", "--lemma", "rank"],
+    ["bounds", "--n", "2"],
+], ids=lambda argv: argv[0])
+@pytest.mark.parametrize("flag", [["--cache-dir", "stacks"], ["--no-cache"]],
+                         ids=lambda flag: flag[0])
+def test_cache_flags_are_usage_errors(capsys, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(command + flag)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_verify_csv(capsys):
     code = main(["verify", "--lemma", "rank", "--format", "csv"])
     out = capsys.readouterr().out

@@ -1,4 +1,4 @@
-import shutil
+from collections import deque
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +10,7 @@ from cosetlab.errors import (
     RepresentationDefectError,
 )
 from cosetlab.groups import (
+    Permutation,
     WreathGroup,
     cached_group,
     involution_class,
@@ -64,6 +65,40 @@ def test_yor_s3_generates_group_of_order_6():
                 seen.add(key)
                 frontier.append(nxt)
     assert len(seen) == 6
+
+
+def _fifo_stack(lam):
+    """Reference: the Cayley-graph walk with a first-in-first-out queue,
+    on Permutation objects, one matrix product per element."""
+    n = sum(lam)
+    group = cached_group(f"sym:{n}")
+    gens = []
+    for i in range(n - 1):
+        images = list(range(n))
+        images[i], images[i + 1] = images[i + 1], images[i]
+        gens.append((Permutation(tuple(images)), irreps._yor_generator(lam, i)))
+    d = dimension(lam)
+    stack = np.zeros((group.order, d, d))
+    e = group.identity()
+    stack[group.index(e)] = np.eye(d)
+    seen = {e}
+    queue = deque([e])
+    while queue:
+        g = queue.popleft()
+        for s, mat in gens:
+            h = g * s
+            if h not in seen:
+                seen.add(h)
+                stack[group.index(h)] = stack[group.index(g)] @ mat
+                queue.append(h)
+    assert len(seen) == group.order
+    return stack
+
+
+@pytest.mark.parametrize("n", range(7))
+def test_level_fill_has_the_bits_of_a_fifo_walk(n):
+    for lam in partitions(n):
+        assert np.array_equal(young_orthogonal_rep(lam).stack, _fifo_stack(lam)), lam
 
 
 def test_yor_cap():
@@ -294,56 +329,6 @@ def test_rep_check_detects_broken_homomorphism():
     broken[3] = np.eye(2)
     with pytest.raises(RepresentationDefectError):
         MatrixRep(rep.group, broken, name="broken").check()
-
-
-def test_matrix_cache_roundtrip(tmp_path):
-    stack1 = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path)).stack
-    files = list(tmp_path.glob("*.npz"))
-    assert len(files) == 1
-    stack2 = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path)).stack
-    assert np.array_equal(stack1, stack2)
-    # Wreath stacks cache one file per irrep (plus the sym building blocks).
-    wreath_irreps(2, cache_dir=str(tmp_path))
-    names = {f.name for f in tmp_path.glob("*.npz")}
-    assert any(name.startswith("wreath2__pair") for name in names)
-
-
-def test_cache_ignores_corrupt_files(tmp_path):
-    rep = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path))
-    f = next(tmp_path.glob("*.npz"))
-    f.write_bytes(b"garbage")
-    rep2 = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path))
-    assert np.allclose(rep.stack, rep2.stack)
-
-
-def test_cache_rejects_a_file_stored_under_another_label(tmp_path):
-    grp = cached_group("sym:3")
-    young_orthogonal_rep((3,), cache_dir=str(tmp_path))
-    trivial = irreps._cache_file(str(tmp_path), grp, (3,))
-    sign = irreps._cache_file(str(tmp_path), grp, (1, 1, 1))
-    shutil.copy(trivial, sign)
-    assert irreps._cache_load(str(tmp_path), grp, (1, 1, 1)) is None
-    rep = young_orthogonal_rep((1, 1, 1), cache_dir=str(tmp_path))
-    rep.check()
-    assert [rep.character(c.representative) for c in grp.conjugacy_classes()] == [1, -1, 1]
-    with np.load(sign) as data:
-        assert str(data["label"]) == "[1,1,1]"
-        assert np.array_equal(data["real"], rep.stack)
-
-
-def test_cache_rejects_a_stack_whose_traces_are_wrong(tmp_path):
-    grp = cached_group("sym:3")
-    good = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path)).stack
-    path = irreps._cache_file(str(tmp_path), grp, (2, 1))
-    with np.load(path) as data:
-        fields = {key: data[key] for key in data.files}
-    fields["real"] = fields["real"][::-1].copy()
-    np.savez(path, **fields)
-    assert irreps._cache_load(str(tmp_path), grp, (2, 1)) is None
-    rep = young_orthogonal_rep((2, 1), cache_dir=str(tmp_path))
-    assert np.array_equal(rep.stack, good)
-    with np.load(path) as data:
-        assert np.array_equal(data["real"], good)
 
 
 def test_group_irreps_dispatch():
