@@ -158,13 +158,16 @@ class CounterRng:
         """
         a = self.complex_gaussian_matrix(d, d)
         q = np.zeros((d, d), dtype=np.complex128)
-        for j in range(d):
+        # strided column views, so np.vdot keeps BLAS's strided path
+        cols = [q[:, i] for i in range(d)]
+        tmp = np.empty(d, dtype=np.complex128)
+        for j, col in enumerate(cols):
             v = a[:, j].copy()
-            for i in range(j):
-                v -= np.vdot(q[:, i], v) * q[:, i]
+            for c in cols[:j]:
+                np.subtract(v, np.multiply(np.vdot(c, v), c, out=tmp), out=v)
             nrm = np.linalg.norm(v)
             assert nrm > 1e-12, "gaussian matrix was numerically singular"
-            q[:, j] = v / nrm
+            np.divide(v, nrm, out=col)
         return q
 
     def index(self, i: int, n: int) -> int:

@@ -20,7 +20,8 @@ action of the group on the chosen registers:
                                = average over m in M of <b, m^I b>,
   doubled_expectation(I1, I2)  the same on b (x) conj(b), carried as the
                                rank-one matrix W = b b^dagger so that no
-                               D^2 x D^2 matrix is ever materialized.
+                               D^2 x D^2 matrix is ever materialized.  Its
+                               kernel forms g^I1 W once per row of I2s.
 
 These give exact mean / variance identities for the measured mass
 ||Pi_m^(x)k b||^2 as m ranges over M, which is what the distinguishability
@@ -38,6 +39,7 @@ from math import prod
 
 import numpy as np
 
+from . import oracle
 from .distributions import SamplingDistribution, uniform_distribution
 from .errors import (
     CapExceededError,
@@ -434,29 +436,28 @@ def isotypic_masses(registers: RegisterTuple, subset, b: np.ndarray,
     return _masses_from_buckets(registers.group, buckets, eps)
 
 
-def _doubled_overlap_buckets(registers: RegisterTuple, first, second,
-                             b: np.ndarray) -> np.ndarray:
-    """V_c = sum over g in class c of <W, g^first W (g^second)^dagger>_F,
-    with W = b b^dagger carrying the doubled-space vector b (x) conj(b)."""
+def doubled_isotypic_masses(registers: RegisterTuple, first, seconds,
+                            b: np.ndarray, eps: float = EPS) -> np.ndarray:
+    """||J_sigma (b (x) conj(b))||^2 per sigma, in label order, on the doubled
+    space, where g acts by g^first on the left factor and conj(g^second) on
+    the right: one row per subset in `seconds`.  g^first W (W = b b^dagger)
+    is formed once; each row runs the rest of numpy's path for the einsum
+    "gik,kl,gjl,ij->g", so it has that contraction's bits."""
     D = registers.total_dim
     if D * D > registers.tensor_cap:
         raise CapExceededError(
             f"doubled dimension {D * D} exceeds cap {registers.tensor_cap}"
         )
+    group = registers.group
     w = np.outer(b, b.conj())
-    s1 = _subset_stack(registers, tuple(first))
-    s2 = _subset_stack(registers, tuple(second))
-    per = np.einsum("gik,kl,gjl,ij->g", s1, w, s2.conj(), w.conj(), optimize=True)
-    return _bucket_by_class(registers.group, per)
-
-
-def doubled_isotypic_masses(registers: RegisterTuple, first, second,
-                            b: np.ndarray, eps: float = EPS) -> np.ndarray:
-    """||J_sigma (b (x) conj(b))||^2 per sigma, in label order, on the doubled
-    space, where g acts by g^first on the left factor and conj(g^second) on
-    the right."""
-    buckets = _doubled_overlap_buckets(registers, first, second, b)
-    return _masses_from_buckets(registers.group, buckets, eps)
+    left = _subset_stack(registers, first) @ w
+    out = np.empty((len(seconds), len(character_table(group).dims)))
+    for row, second in enumerate(seconds):
+        # the stack is built inline so that only one second stack is alive
+        per = np.einsum("gjl,ij,gil->g", _subset_stack(registers, second).conj(),
+                        w.conj(), left, optimize=["einsum_path", (0, 2), (0, 1)])
+        out[row] = _masses_from_buckets(group, _bucket_by_class(group, per), eps)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -482,16 +483,20 @@ def normalized_characters(group: FiniteGroup, M: ConjugacyClass) -> tuple[Fracti
 def subset_expectation(registers: RegisterTuple, b: np.ndarray, subset,
                        M: ConjugacyClass) -> float:
     """E^I: the average over m in M of <b, m^I b>, computed spectrally."""
-    ratios = normalized_characters(registers.group, M)
-    masses = isotypic_masses(registers, subset, b)
-    return float(sum(float(c) * m for c, m in zip(ratios, masses.tolist()) if c))
+    return _class_average(registers, M, isotypic_masses(registers, subset, b))
 
 
 def doubled_expectation(registers: RegisterTuple, b: np.ndarray, first, second,
                         M: ConjugacyClass) -> float:
     """E^{I1,I2}: the doubled-space analogue on b (x) conj(b)."""
+    masses = doubled_isotypic_masses(registers, first, [second], b)[0]
+    return _class_average(registers, M, masses)
+
+
+def _class_average(registers: RegisterTuple, M: ConjugacyClass,
+                   masses: np.ndarray) -> float:
+    """sum over sigma of (chi_sigma(M)/d_sigma) * masses[sigma]."""
     ratios = normalized_characters(registers.group, M)
-    masses = doubled_isotypic_masses(registers, first, second, b)
     return float(sum(float(c) * m for c, m in zip(ratios, masses.tolist()) if c))
 
 
@@ -525,8 +530,8 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     subs = subsets(k, nonempty=True)
     subset_terms = {s: subset_expectation(registers, b, s, M) for s in subs}
     doubled_terms = {
-        (s1, s2): doubled_expectation(registers, b, s1, s2, M)
-        for s1 in subs for s2 in subs
+        (s1, s2): _class_average(registers, M, masses) for s1 in subs
+        for s2, masses in zip(subs, doubled_isotypic_masses(registers, s1, subs, b))
     }
     lin = sum(subset_terms.values())
     raw = sum(doubled_terms.values())
@@ -535,8 +540,6 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     variance = (raw - lin * lin) / 4 ** k
     oracle_mean = oracle_var = None
     if check:
-        from . import oracle
-
         oracle_mean, oracle_var = oracle.brute_multiregister_moments(
             registers.irreps, b, M
         )
@@ -592,8 +595,8 @@ def projector_sum_bound(registers: RegisterTuple, sigma, b: np.ndarray,
     all_subs = subsets(k)
     lhs = 0.0
     for s1 in all_subs:
-        for s2 in all_subs:
-            lhs += doubled_isotypic_masses(registers, s1, s2, b)[i]
+        for masses in doubled_isotypic_masses(registers, s1, all_subs, b):
+            lhs += masses[i]
     inner = 0.0
     for s in all_subs:
         masses = isotypic_masses(registers, s, b)
@@ -622,28 +625,37 @@ def expected_isotypic_dimension(sigma, subset, k: int, group: FiniteGroup,
         raise ValueError(f"subset {sub} out of range for k = {k}")
     table = character_table(group)
     pos = table.position(sigma)
-    dims = table.dims.tolist()
-    chi = table.chi.tolist()
-    if len(dims) ** k > cap:
-        raise CapExceededError(f"{len(dims)}^{k} label tuples exceed cap {cap}")
-    d_sigma = dims[pos]
-    weights = [c.size * x for c, x in zip(group.conjugacy_classes(), chi[pos])]
-    # P(tuple) * d_sigma / d_tuple = d_tuple * d_sigma / |G|^k, so the sum
-    # is one integer numerator over |G|^k.
-    numerator = 0
-    for tup in itertools.product(range(len(dims)), repeat=k):
-        reg_dims = [dims[j] for j in tup]
-        outside = prod(reg_dims[i] for i in range(k) if i not in sub)
-        inner = outside * sum(
-            w * prod(chi[tup[i]][c] for i in sub) for c, w in enumerate(weights)
+    if len(table.dims) ** k > cap:
+        raise CapExceededError(f"{len(table.dims)}^{k} label tuples exceed cap {cap}")
+    d_sigma = int(table.dims[pos])
+    weights = [c.size * x for c, x in
+               zip(group.conjugacy_classes(), table.chi[pos].tolist())]
+    # No int64 below exceeds (1 + sum |w_c|) * top^k.  For sym:n and wreath:n
+    # under the default element and tuple caps that peaks at 2.9e10 (sym:8,
+    # k = 3), far below 2^63; a larger bound is refused, never wrapped.
+    top = max(int(np.abs(table.chi).max()), int(table.dims.max()))
+    if (1 + sum(map(abs, weights))) * top ** k >= 2 ** 63:
+        raise CapExceededError(
+            f"decomposition sum of {table.names[pos]} at k = {k} overflows int64"
         )
-        mult, rem = divmod(inner, group.order)
-        if rem or mult < 0:
-            raise NonCharacterError(
-                f"multiplicity {Fraction(inner, group.order)} of "
-                f"{table.names[pos]} is not a nonnegative integer"
-            )
-        numerator += prod(reg_dims) * mult * d_sigma
+    # One row per label tuple in itertools.product order: characters on
+    # subset registers, dimensions elsewhere.  P(tuple) d_sigma / d_tuple =
+    # d_tuple d_sigma / |G|^k, so the sum is one numerator over |G|^k.
+    class_products = np.ones((1, len(weights)), dtype=np.int64)
+    tuple_dims = np.ones(1, dtype=np.int64)
+    for i in range(k):
+        factor = table.chi if i in sub else table.dims[:, None]
+        class_products = (class_products[:, None] * factor).reshape(-1, len(weights))
+        tuple_dims = np.multiply.outer(tuple_dims, table.dims).reshape(-1)
+    inner = class_products @ np.array(weights, dtype=np.int64)
+    mult, rem = np.divmod(inner, group.order)
+    bad = np.flatnonzero((rem != 0) | (mult < 0))
+    if bad.size:
+        raise NonCharacterError(
+            f"multiplicity {Fraction(int(inner[bad[0]]), group.order)} of "
+            f"{table.names[pos]} is not a nonnegative integer"
+        )
+    numerator = d_sigma * sum(d * m for d, m in zip(tuple_dims.tolist(), mult.tolist()))
     total = Fraction(numerator, group.order ** k)
     expected = Fraction(d_sigma * d_sigma, group.order)
     if total != expected:

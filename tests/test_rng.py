@@ -94,6 +94,27 @@ def test_haar_frozen_entry():
     assert abs(q[0, 0] - (0.27872477497107134 + 0.44143680864557516j)) < 1e-15
 
 
+def _haar_basis_column_loop(rng, d):
+    """Modified Gram-Schmidt written out one column slice at a time."""
+    a = rng.complex_gaussian_matrix(d, d)
+    q = np.zeros((d, d), dtype=np.complex128)
+    for j in range(d):
+        v = a[:, j].copy()
+        for i in range(j):
+            v -= np.vdot(q[:, i], v) * q[:, i]
+        nrm = np.linalg.norm(v)
+        assert nrm > 1e-12
+        q[:, j] = v / nrm
+    return q
+
+
+@pytest.mark.parametrize("d", [*range(1, 70), 128, 324])
+def test_haar_basis_has_the_bits_of_the_column_loop(d):
+    for stream in range(3):
+        rng = CounterRng(stream, "haar-bits", d)
+        assert np.array_equal(rng.haar_basis(d), _haar_basis_column_loop(rng, d))
+
+
 def test_unit_vector():
     v = CounterRng(3).unit_vector(7)
     assert abs(np.linalg.norm(v) - 1.0) < 1e-12

@@ -1,4 +1,7 @@
 import functools
+import itertools
+import math
+import re
 
 import numpy as np
 import pytest
@@ -9,10 +12,19 @@ from cosetlab import oracle, sampling
 from cosetlab.errors import (
     CapExceededError,
     GroupMismatchError,
+    NonCharacterError,
+    RepresentationDefectError,
     ZeroRankError,
 )
 from cosetlab.groups import cached_group, involution_class, parse_cycles
-from cosetlab.irreps import group_irreps, irrep_labels, label_dim, label_str, plancherel
+from cosetlab.irreps import (
+    CharacterTable,
+    group_irreps,
+    irrep_labels,
+    label_dim,
+    label_str,
+    plancherel,
+)
 from cosetlab.rng import CounterRng
 from cosetlab.sampling import (
     HiddenSubgroup,
@@ -504,6 +516,168 @@ def test_expected_isotypic_dimension_guards():
         expected_isotypic_dimension((3,), (5,), 2, S3)
     with pytest.raises(CapExceededError):
         expected_isotypic_dimension((3,), (0,), 2, S3, cap=3)
+
+
+# ---------------------------------------------------------------------------
+# The row-batched doubled kernel against the four-operand einsum, pair by pair
+
+def _four_operand_masses(regs, first, second, b):
+    """Per-element doubled overlaps and the isotypic masses from them, with
+    both subset stacks and one einsum per (first, second) pair."""
+    w = np.outer(b, b.conj())
+    s1 = sampling._subset_stack(regs, first)
+    s2 = sampling._subset_stack(regs, second)
+    per = np.einsum("gik,kl,gjl,ij->g", s1, w, s2.conj(), w.conj(), optimize=True)
+    group = regs.group
+    buckets = sampling._bucket_by_class(group, per)
+    return per, sampling._masses_from_buckets(group, buckets, sampling.EPS)
+
+
+def _random_registers(group, k, stream):
+    reps = group_irreps(group)
+    rng = CounterRng(53, "doubled-rows", group.spec, k, stream)
+    regs = RegisterTuple(tuple(reps[rng.index(i, len(reps))] for i in range(k)))
+    return regs, rng.sub("vec").unit_vector(regs.total_dim)
+
+
+DOUBLED_CASES = [(g, k, stream) for g in (W2, W3) for k in (1, 2, 3)
+                 for stream in range(3)]
+
+
+@pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
+def test_doubled_rows_have_the_bits_of_the_four_operand_einsum(
+        monkeypatch, group, k, stream):
+    regs, b = _random_registers(group, k, stream)
+    all_subs = subsets(k)
+    want = {(s1, s2): _four_operand_masses(regs, s1, s2, b)
+            for s1 in all_subs for s2 in all_subs}
+    seen = []
+    bucket = sampling._bucket_by_class
+    monkeypatch.setattr(sampling, "_bucket_by_class",
+                        lambda grp, per: seen.append(per) or bucket(grp, per))
+    for first in all_subs:
+        seen.clear()
+        rows = sampling.doubled_isotypic_masses(regs, first, all_subs, b)
+        assert rows.shape == (len(all_subs), len(group_irreps(group)))
+        for second, per, row in zip(all_subs, seen, rows, strict=True):
+            want_per, want_row = want[first, second]
+            assert np.array_equal(per, want_per)
+            assert np.array_equal(row, want_row)
+
+
+@pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
+def test_moments_and_projector_sum_equal_their_per_pair_sums(group, k, stream):
+    regs, b = _random_registers(group, k, stream)
+    M = involution_class(group)
+    ratios = sampling.normalized_characters(group, M)
+    masses = {(s1, s2): _four_operand_masses(regs, s1, s2, b)[1]
+              for s1 in subsets(k) for s2 in subsets(k)}
+    nonempty = subsets(k, nonempty=True)
+    want = {
+        (s1, s2): float(sum(float(c) * m for c, m in
+                            zip(ratios, masses[s1, s2].tolist()) if c))
+        for s1 in nonempty for s2 in nonempty
+    }
+    got = interference_moments(regs, b, M, check=False).doubled_terms
+    assert list(got) == list(want)
+    assert got == want
+    labels = irrep_labels(group)
+    i = stream * 2 % len(labels)
+    lhs = 0.0
+    for row in masses.values():
+        lhs += row[i]
+    assert projector_sum_bound(regs, labels[i], b)[0] == float(lhs)
+
+
+def test_doubled_cap_is_checked_before_any_stack(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a subset stack was built")
+
+    monkeypatch.setattr(sampling, "_subset_stack", refuse)
+    regs = RegisterTuple.from_labels(W3, ["{[3],[2,1]}", "{[3],[2,1]}"], tensor_cap=100)
+    b = CounterRng(59).unit_vector(regs.total_dim)
+    with pytest.raises(CapExceededError):
+        sampling.doubled_isotypic_masses(regs, (0,), [(0,), (1,)], b)
+    with pytest.raises(CapExceededError):
+        doubled_expectation(regs, b, (0,), (1,), involution_class(W3))
+
+
+# ---------------------------------------------------------------------------
+# The integer decomposition sum against a tuple-by-tuple loop
+
+def _tuple_loop_isotypic_dimension(sigma, sub, k, group):
+    """sum over label tuples of P(tuple) * mult(sigma) * d_sigma / d_tuple,
+    one itertools tuple at a time."""
+    table = sampling.character_table(group)
+    pos = table.position(sigma)
+    dims = table.dims.tolist()
+    chi = table.chi.tolist()
+    d_sigma = dims[pos]
+    weights = [c.size * x for c, x in zip(group.conjugacy_classes(), chi[pos])]
+    numerator = 0
+    for tup in itertools.product(range(len(dims)), repeat=k):
+        reg_dims = [dims[j] for j in tup]
+        outside = math.prod(reg_dims[i] for i in range(k) if i not in sub)
+        inner = outside * sum(
+            w * math.prod(chi[tup[i]][c] for i in sub) for c, w in enumerate(weights)
+        )
+        mult, rem = divmod(inner, group.order)
+        if rem or mult < 0:
+            raise NonCharacterError(
+                f"multiplicity {Fraction(inner, group.order)} of "
+                f"{table.names[pos]} is not a nonnegative integer"
+            )
+        numerator += math.prod(reg_dims) * mult * d_sigma
+    return Fraction(numerator, group.order ** k)
+
+
+@pytest.mark.parametrize("spec", ["sym:2", "sym:3", "sym:4", "sym:5",
+                                  "wreath:2", "wreath:3"])
+def test_expected_isotypic_dimension_equals_the_tuple_loop(spec):
+    group = cached_group(spec)
+    for k in (1, 2, 3):
+        for sub in subsets(k, nonempty=True):
+            for sigma in irrep_labels(group):
+                got = expected_isotypic_dimension(sigma, sub, k, group)
+                assert got == _tuple_loop_isotypic_dimension(sigma, sub, k, group)
+
+
+def _patched_table(monkeypatch, group, dims=None, chi=None):
+    table = sampling.character_table(group)
+    bad = CharacterTable(table.labels, table.names,
+                         table.dims if dims is None else dims,
+                         table.chi if chi is None else chi)
+    monkeypatch.setattr(sampling, "character_table",
+                        lambda g: bad if g.spec == group.spec else table)
+
+
+def test_expected_isotypic_dimension_refuses_a_corrupted_character_row(monkeypatch):
+    chi = sampling.character_table(S3).chi.copy()
+    chi[0, 2] += 1  # row [3], class of 3-cycles, where chi_[2,1] is -1
+    _patched_table(monkeypatch, S3, chi=chi)
+    sigma = irrep_labels(S3)[1]
+    with pytest.raises(NonCharacterError, match=re.escape(label_str(sigma))) as got:
+        expected_isotypic_dimension(sigma, (0, 1), 2, S3)
+    with pytest.raises(NonCharacterError) as want:
+        _tuple_loop_isotypic_dimension(sigma, (0, 1), 2, S3)
+    assert str(got.value) == str(want.value)
+
+
+def test_expected_isotypic_dimension_refuses_a_wrong_total(monkeypatch):
+    # Doubling one dimension keeps every multiplicity an integer at
+    # I = (0,), k = 2, but the dimensions no longer square-sum to |G|.
+    dims = sampling.character_table(S3).dims.copy()
+    dims[2] *= 2
+    _patched_table(monkeypatch, S3, dims=dims)
+    with pytest.raises(RepresentationDefectError, match="sigma = \\[2,1\\]"):
+        expected_isotypic_dimension(irrep_labels(S3)[1], (0,), 2, S3)
+
+
+def test_expected_isotypic_dimension_refuses_int64_overflow(monkeypatch):
+    chi = sampling.character_table(S3).chi * 2 ** 40
+    _patched_table(monkeypatch, S3, chi=chi)
+    with pytest.raises(CapExceededError, match="overflow"):
+        expected_isotypic_dimension(irrep_labels(S3)[1], (0,), 2, S3)
 
 
 # ---------------------------------------------------------------------------
