@@ -64,6 +64,7 @@ from .sampling import (
     HiddenSubgroup,
     MeasurementBasis,
     RegisterTuple,
+    member_projectors,
     multiregister_dist,
     normalized_characters,
     projected_masses,
@@ -225,12 +226,6 @@ class EnumerationStats:
     triple_values: tuple[float, ...]
 
 
-def _member_projectors(rep, members) -> np.ndarray:
-    """(len(members), d, d) stack of (I + rep(m)) / 2 for the element
-    indices in members."""
-    return 0.5 * (np.eye(rep.dim) + rep.stack[members])
-
-
 def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
     n_m = len(projs[0])
     if rank_total == 0:
@@ -276,13 +271,11 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
         )
     _check_tensor_cap(group, k, tensor_cap)
     hidden = HiddenSubgroup(group, M.representative)
-    planch = weak_dist(group, HiddenSubgroup(group)).exact_values()
-    hweight = weak_dist(group, hidden).exact_values()
     ranks = [weak_rank(group, l, hidden) for l in labels]
     members = [group.index(m) for m in M.members]
     if reps is None:
         reps = group_irreps(group)
-    projs = [_member_projectors(rep, members) for rep in reps]
+    projs = [member_projectors(rep, members, r) for rep, r in zip(reps, ranks)]
     tuples = list(itertools.product(range(len(labels)), repeat=k))
 
     def run(args):
@@ -292,16 +285,14 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
 
     results = ordered_map(run, list(enumerate(tuples)), threads=threads)
 
-    zero_rank_mass = Fraction(0)
-    weights_p = []
-    weights_h = []
-    for tup, res in zip(tuples, results):
-        wp = prod((planch[i] for i in tup), start=Fraction(1))
-        wh = prod((hweight[i] for i in tup), start=Fraction(1))
-        weights_p.append(float(wp))
-        weights_h.append(float(wh))
-        if res[5] == 0:
-            zero_rank_mass += wp
+    # the exact tuple laws, in the itertools.product order of `tuples`
+    planch = weak_dist_tuples(group, HiddenSubgroup(group), k).exact_values()
+    hweight = weak_dist_tuples(group, hidden, k).exact_values()
+    zero_rank_mass = sum(
+        (wp for wp, res in zip(planch, results) if res[5] == 0), Fraction(0)
+    )
+    weights_p = [float(wp) for wp in planch]
+    weights_h = [float(wh) for wh in hweight]
 
     def combine(which, weights):
         return tuple(
@@ -383,7 +374,7 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
             zero_hits += 1
             continue
         basis = rng.sub("basis").haar_basis(D)
-        projs = [_member_projectors(reps[i], [m]) for i in tup]
+        projs = [member_projectors(reps[i], [m], ranks[i]) for i in tup]
         probs = projected_masses(projs, basis)[0] / rank_total
         values.append(float(np.sum(np.abs(probs - 1.0 / D))))
     return SampledStats(trials, tuple(values), zero_hits)
@@ -518,22 +509,17 @@ def _blank(x):
     return "" if x is None else x
 
 
-def _control_tv(group, reps, k, seed, tensor_cap) -> float:
+def _control_tv(group, reps, k, tensor_cap) -> float:
     """Trivial-subgroup control: the multiregister distribution must be
-    exactly uniform for any basis.  k registers of the first irrep of
-    dimension above 1; _check_tensor_cap has passed, so they fit."""
+    exactly uniform, whatever the basis, so the standard one serves.  k
+    registers of the first irrep of dimension above 1; _check_tensor_cap
+    has passed, so they fit."""
     pick = next((r for r in reps if r.dim > 1), reps[0])
     tup = RegisterTuple((pick,) * k, tensor_cap=tensor_cap)
-    worst = Fraction(0)
-    for t in range(2):
-        basis = MeasurementBasis.haar(
-            tup.total_dim, CounterRng(seed, "control", t)
-        )
-        dist = multiregister_dist(tup, HiddenSubgroup(group), basis)
-        uniform = Fraction(1, tup.total_dim)
-        tv = sum(abs(p - uniform) for p in dist.exact_values())
-        worst = max(worst, tv)
-    return float(worst)
+    basis = MeasurementBasis.standard(tup.total_dim)
+    dist = multiregister_dist(tup, HiddenSubgroup(group), basis)
+    uniform = Fraction(1, tup.total_dim)
+    return float(sum((abs(p - uniform) for p in dist.exact_values()), Fraction(0)))
 
 
 def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
@@ -566,7 +552,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     }
     quantiles = None
     reps = group_irreps(group)
-    control = _control_tv(group, reps, k, seed, tensor_cap)
+    control = _control_tv(group, reps, k, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:

@@ -236,6 +236,7 @@ def cmd_irreps(args) -> int:
 # sample
 
 def cmd_sample(args) -> int:
+    _require_counts(args, "k")
     group = _group(args.group)
     hidden = _resolve_hidden(group, args)
     if args.weak and args.strong:
@@ -279,15 +280,14 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
         raise CapExceededError(
             f"{len(names)}^{k} tuples exceed the report cap {TUPLE_REPORT_CAP}"
         )
-    weak_exact = weak_dist(group, hidden).exact_values()
+    # the exact tuple law, in itertools.product order
+    probs = weak_dist_tuples(group, hidden, k).exact_values()
     reps = group_irreps(group)
 
     entries = []
     csv_rows = []
-    total = Fraction(0)
-    for idx, tup in enumerate(itertools.product(range(len(names)), repeat=k)):
-        prob = prod((weak_exact[i] for i in tup), start=Fraction(1))
-        total += prob
+    tuples = itertools.product(range(len(names)), repeat=k)
+    for idx, (tup, prob) in enumerate(zip(tuples, probs)):
         D = prod(reps[i].dim for i in tup)
         conditional = None
         zero_rank = False
@@ -325,7 +325,7 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
         "basis": args.basis,
         "seed": args.seed,
         "outcome_sets": len(entries),
-        "weak_total": str(total),
+        "weak_total": str(sum(probs, Fraction(0))),
         "entries": entries,
         "csv_rows": csv_rows,
     }
@@ -340,11 +340,27 @@ def _default_groups(args, fallback):
     return [_group(s) for s in fallback]
 
 
-def _random_registers(reps, rng, k, tensor_cap):
-    tup = tuple(reps[rng.index(i, len(reps))] for i in range(k))
-    if prod(r.dim for r in tup) > tensor_cap:
-        tup = (reps[0],) * k
-    return RegisterTuple(tup, tensor_cap=tensor_cap)
+def _register_trials(args, irreps_of, lemma, doubled=True):
+    """(group, trials) per group of a random-register lemma.  Trial t draws
+    k registers from the stream (seed, "verify", lemma, group, t), k copies
+    of the first irrep when they exceed the tensor cap, and a unit vector
+    from that stream's "vec" sub-stream, and yields (t, rng, registers, b).
+    With doubled, a trial whose doubled dimension D^2 exceeds the tensor
+    cap is skipped."""
+    def trials(group):
+        reps = irreps_of(group)
+        for t in range(args.trials):
+            rng = CounterRng(args.seed, "verify", lemma, group.spec, t)
+            tup = tuple(reps[rng.index(i, len(reps))] for i in range(args.k))
+            if prod(r.dim for r in tup) > args.tensor_cap:
+                tup = (reps[0],) * args.k
+            regs = RegisterTuple(tup, tensor_cap=args.tensor_cap)
+            if doubled and regs.total_dim ** 2 > args.tensor_cap:
+                continue
+            yield t, rng, regs, rng.sub("vec").unit_vector(regs.total_dim)
+
+    for group in _default_groups(args, ("wreath:2",)):
+        yield group, trials(group)
 
 
 def _lemma_rank(args, irreps_of) -> list:
@@ -367,13 +383,10 @@ def _lemma_rank(args, irreps_of) -> list:
 
 def _lemma_expectation(args, irreps_of) -> list:
     results = []
-    for group in _default_groups(args, ("wreath:2",)):
+    for group, trials in _register_trials(args, irreps_of, "expectation",
+                                          doubled=False):
         M = _involution(group)
-        reps = irreps_of(group)
-        for t in range(args.trials):
-            rng = CounterRng(args.seed, "verify", "expectation", group.spec, t)
-            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
-            b = rng.sub("vec").unit_vector(regs.total_dim)
+        for t, rng, regs, b in trials:
             full = tuple(range(args.k))
             formula = subset_expectation(regs, b, full, M)
             oracle_v = brute_subset_overlap(regs.irreps, b, full, M)
@@ -394,15 +407,9 @@ def _lemma_expectation(args, irreps_of) -> list:
 
 def _lemma_second_moment(args, irreps_of) -> list:
     results = []
-    for group in _default_groups(args, ("wreath:2",)):
+    for group, trials in _register_trials(args, irreps_of, "second-moment"):
         M = _involution(group)
-        reps = irreps_of(group)
-        for t in range(args.trials):
-            rng = CounterRng(args.seed, "verify", "second-moment", group.spec, t)
-            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
-            if regs.total_dim ** 2 > args.tensor_cap:
-                continue
-            b = rng.sub("vec").unit_vector(regs.total_dim)
+        for t, rng, regs, b in trials:
             full = tuple(range(args.k))
             pairs = [(full, full)]
             m1 = rng.index(200, 2 ** args.k)
@@ -423,15 +430,9 @@ def _lemma_second_moment(args, irreps_of) -> list:
 
 def _lemma_multiregister(args, irreps_of) -> list:
     results = []
-    for group in _default_groups(args, ("wreath:2",)):
+    for group, trials in _register_trials(args, irreps_of, "multiregister"):
         M = _involution(group)
-        reps = irreps_of(group)
-        for t in range(args.trials):
-            rng = CounterRng(args.seed, "verify", "multiregister", group.spec, t)
-            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
-            if regs.total_dim ** 2 > args.tensor_cap:
-                continue
-            b = rng.sub("vec").unit_vector(regs.total_dim)
+        for t, _, regs, b in trials:
             moments = interference_moments(regs, b, M, check=False)
             mean_o, var_o = brute_multiregister_moments(regs.irreps, b, M)
             tag = f"{group.spec} k={args.k} trial={t}"
@@ -475,14 +476,9 @@ def _lemma_claim_average(args, irreps_of) -> list:
 
 def _lemma_projector_sum(args, irreps_of) -> list:
     results = []
-    for group in _default_groups(args, ("wreath:2",)):
+    for group, trials in _register_trials(args, irreps_of, "projector-sum"):
         reps = irreps_of(group)
-        for t in range(args.trials):
-            rng = CounterRng(args.seed, "verify", "projector-sum", group.spec, t)
-            regs = _random_registers(reps, rng, args.k, args.tensor_cap)
-            if regs.total_dim ** 2 > args.tensor_cap:
-                continue
-            b = rng.sub("vec").unit_vector(regs.total_dim)
+        for t, rng, regs, b in trials:
             sigma = reps[rng.index(300, len(reps))]
             lhs, rhs = projector_sum_bound(regs, sigma, b)
             results.append(inequality_result(

@@ -6,11 +6,15 @@ into three stages, each of which is a finite distribution here:
 
   weak:   irrep label rho comes up with  d_rho |H| rank(Pi_H) / |G|,
           where Pi_H = (rho(e) + rho(m)) / 2.  The rank is (d + chi(m)) / 2,
-          an exact integer, so the whole distribution is exact.
+          an exact integer read from the characters (weak_rank), so the
+          whole distribution is exact.
   strong: given rho, a basis vector b comes up with ||Pi_H b||^2 / rank.
   multiregister: k labels drawn independently at the weak stage share the
           same hidden m, so the strong stage on the tensor product sees
-          interference between registers.
+          interference between registers; strong is its one-register case.
+
+One builder, member_projectors, makes every matrix Pi_m, and checks each
+is a projector whose trace is that exact rank.
 
 The interference functionals below average over a full conjugacy class M of
 involutions.  With J_sigma the isotypic projector onto sigma inside the
@@ -131,13 +135,6 @@ class MeasurementBasis:
         tag = "/".join(str(p) for p in rng.path)
         return cls(rng.haar_basis(dim), f"haar[seed={rng.seed};{tag}]")
 
-    @classmethod
-    def product(cls, *bases: "MeasurementBasis") -> "MeasurementBasis":
-        mat = bases[0].vectors
-        for b in bases[1:]:
-            mat = np.kron(mat, b.vectors)
-        return cls(mat, "product(" + ",".join(b.provenance for b in bases) + ")")
-
 
 @dataclass(frozen=True)
 class RegisterTuple:
@@ -195,36 +192,23 @@ class RegisterTuple:
 # ---------------------------------------------------------------------------
 # Projectors and the three sampling stages
 
-def subgroup_projector(rep: MatrixRep, hidden: HiddenSubgroup) -> np.ndarray:
-    """(rep(e) + rep(m)) / 2.  The trivial subgroup has no projector stage."""
-    if hidden.trivial:
-        raise ValueError(
-            "trivial subgroup: every stage is uniform, there is no projector"
-        )
-    if rep.group.spec != hidden.group.spec:
-        raise GroupMismatchError("rep and hidden subgroup live over different groups")
-    mat = 0.5 * (np.eye(rep.dim) + rep.matrix(hidden.m))
-    defect = np.max(np.abs(mat @ mat - mat))
-    if defect > EPS:
-        raise RepresentationDefectError(
-            f"subgroup projector not idempotent (defect {defect:.3e})"
-        )
-    herm = np.max(np.abs(mat - mat.conj().T))
-    if herm > EPS:
-        raise RepresentationDefectError(
-            f"subgroup projector not self-adjoint (defect {herm:.3e})"
-        )
-    return mat
-
-
-def projector_rank(mat: np.ndarray) -> int:
-    """Rank of a projector from its trace, guarded against non-integers."""
-    t = complex(mat.trace())
-    if abs(t.imag) > TRACE_INT_TOL or abs(t.real - round(t.real)) > TRACE_INT_TOL:
-        raise RepresentationDefectError(
-            f"projector trace {t!r} is not an integer within tolerance"
-        )
-    return round(t.real)
+def member_projectors(rep: MatrixRep, members, rank: int) -> np.ndarray:
+    """(len(members), d, d) stack of Pi_m = (rep(e) + rep(m)) / 2 for the
+    element indices in members, all of one class.  Each Pi_m must be
+    idempotent and self-adjoint within EPS, and its trace must be the exact
+    rank from weak_rank within TRACE_INT_TOL."""
+    mats = 0.5 * (np.eye(rep.dim) + rep.stack[members])
+    for what, excess, tol in (
+        ("idempotent", mats @ mats - mats, EPS),
+        ("self-adjoint", mats - mats.conj().swapaxes(1, 2), EPS),
+        (f"of trace {rank}", np.trace(mats, axis1=1, axis2=2) - rank, TRACE_INT_TOL),
+    ):
+        defect = np.max(np.abs(excess))
+        if defect > tol:
+            raise RepresentationDefectError(
+                f"subgroup projector not {what} (defect {defect:.3e})"
+            )
+    return mats
 
 
 def weak_rank(group: FiniteGroup, label, hidden: HiddenSubgroup) -> int:
@@ -275,30 +259,7 @@ def weak_dist_tuples(group: FiniteGroup, hidden: HiddenSubgroup, k: int,
 def strong_dist(rep: Irrep, hidden: HiddenSubgroup,
                 basis: MeasurementBasis) -> SamplingDistribution:
     """Distribution of the measured basis vector inside one observed irrep."""
-    if basis.dim != rep.dim:
-        raise ValueError(f"basis dim {basis.dim} != irrep dim {rep.dim}")
-    labels = tuple(f"b{j}" for j in range(rep.dim))
-    if hidden.trivial:
-        # Pi_H is exactly the identity and each basis vector is unit, so the
-        # distribution is uniform with no arithmetic to do.
-        return uniform_distribution(
-            labels, "strong", rep.group.spec, "trivial", registers=(rep.name,)
-        )
-    proj = subgroup_projector(rep, hidden)
-    rank = projector_rank(proj)
-    if rank == 0:
-        raise ZeroRankError(
-            f"{rep.name}: Pi_H has rank 0 for m = {hidden.m}; "
-            "this label never survives the weak stage"
-        )
-    masses = projected_masses([proj[None]], basis.vectors)[0]
-    outcomes = tuple(
-        (labels[j], float(masses[j] / rank)) for j in range(rep.dim)
-    )
-    return SamplingDistribution(
-        "strong", rep.group.spec, hidden.descriptor(), outcomes,
-        registers=(rep.name,),
-    )
+    return _strong_stage("strong", RegisterTuple((rep,), rep.dim), hidden, basis)
 
 
 def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
@@ -323,31 +284,43 @@ def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
 def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
                        basis: MeasurementBasis) -> SamplingDistribution:
     """Strong measurement on the tensor product of k registers, one shared m."""
+    return _strong_stage("multiregister", registers, hidden, basis)
+
+
+def _strong_stage(context: str, registers: RegisterTuple, hidden: HiddenSubgroup,
+                  basis: MeasurementBasis) -> SamplingDistribution:
+    """Basis vector b_j comes up with ||Pi_m^(x)k b_j||^2 / rank, the rank
+    being the exact product of the registers' weak ranks."""
     D = registers.total_dim
     if basis.dim != D:
         raise ValueError(f"basis dim {basis.dim} != tensor dim {D}")
     labels = tuple(f"b{j}" for j in range(D))
     group = registers.group
     if hidden.trivial:
+        # Pi_H is exactly the identity and each basis vector is unit, so the
+        # distribution is uniform with no arithmetic to do.
         return uniform_distribution(
-            labels, "multiregister", group.spec, "trivial",
-            registers=registers.labels,
+            labels, context, group.spec, "trivial", registers=registers.labels
         )
+    if group.spec != hidden.group.spec:
+        raise GroupMismatchError("rep and hidden subgroup live over different groups")
+    member = [group.index(hidden.m)]
     projs = []
     rank_total = 1
     for i, rep in enumerate(registers.irreps):
-        proj = subgroup_projector(rep, hidden)
-        rank = projector_rank(proj)
+        rank = weak_rank(group, rep.label, hidden)
         if rank == 0:
             raise ZeroRankError(
+                f"{rep.name}: Pi_H has rank 0 for m = {hidden.m}; this label "
+                "never survives the weak stage" if context == "strong" else
                 f"register {i} ({rep.name}): Pi_H has rank 0 for m = {hidden.m}"
             )
-        projs.append(proj[None])
+        projs.append(member_projectors(rep, member, rank))
         rank_total *= rank
     masses = projected_masses(projs, basis.vectors)[0]
     outcomes = tuple((labels[j], float(masses[j] / rank_total)) for j in range(D))
     return SamplingDistribution(
-        "multiregister", group.spec, hidden.descriptor(), outcomes,
+        context, group.spec, hidden.descriptor(), outcomes,
         registers=registers.labels,
     )
 

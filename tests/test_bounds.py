@@ -190,6 +190,24 @@ def test_exact_enumeration_builds_no_basis_for_zero_rank_tuples(monkeypatch, n):
     assert stats.zero_rank_mass > 0
 
 
+def test_the_control_builds_no_basis(monkeypatch):
+    g, M = _setup(3)
+    hidden = HiddenSubgroup(g, M.representative)
+    useful = sum(1 for lab in irrep_labels(g) if weak_rank(g, lab, hidden) > 0)
+    built = []
+    haar_basis = CounterRng.haar_basis
+
+    def counting(self, d):
+        built.append(d)
+        return haar_basis(self, d)
+
+    monkeypatch.setattr(CounterRng, "haar_basis", counting)
+    k, trials = 2, 2
+    report = bounds.theorem_pipeline(3, k, trials=trials)
+    assert report.mode == "exact" and report.control_tv == 0.0
+    assert len(built) == useful ** k * trials
+
+
 def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
     def refuse(self, d):
         raise AssertionError("a Haar basis was built")

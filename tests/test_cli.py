@@ -131,6 +131,8 @@ def test_verify_negative_k_is_a_usage_error(capsys):
     ["bounds", "--n", "2", "--threads", "0"],
     ["bounds", "--n", "2", "--k", "0"],
     ["bounds", "--n", "2", "--trials", "-1"],
+    ["sample", "--group", "sym:3", "--weak", "--k", "0"],
+    ["sample", "--group", "sym:3", "--weak", "--k", "-1"],
 ], ids=" ".join)
 def test_out_of_range_count_is_a_usage_error(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
@@ -342,5 +344,5 @@ def test_cli_fuzz_exits_with_a_documented_code(argv):
     assert code in (0, 1, 2, 3), (argv, sink.getvalue())
     counts = [int(argv[i + 1]) for i, a in enumerate(argv)
               if a in ("--k", "--trials", "--threads")]
-    if argv[0] in ("verify", "bounds") and min(counts) < 1:
+    if argv[0] in ("sample", "verify", "bounds") and min(counts) < 1:
         assert code == 2, (argv, sink.getvalue())

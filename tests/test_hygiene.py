@@ -1,4 +1,5 @@
-"""Source hygiene: every imported name is used by the module importing it."""
+"""Source hygiene: every imported name is used by the module importing it,
+and every private helper of the package is used somewhere in it."""
 
 import ast
 from pathlib import Path
@@ -6,10 +7,11 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = sorted((ROOT / "src" / "cosetlab").glob("*.py"))
 # __init__.py is left out: its imports are the package's public re-exports.
 MODULES = sorted(
     path
-    for path in [*(ROOT / "src" / "cosetlab").glob("*.py"), *(ROOT / "tests").glob("*.py")]
+    for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
 
@@ -46,3 +48,68 @@ def test_the_scan_sees_an_unused_import():
         "    return system.argv, tau\n"
     )
     assert unused_imports(tree) == ["line 2: os", "line 3: pi", "line 5: json"]
+
+
+def _referenced_name(node):
+    """The name a Name, an attribute access or an imported alias refers to."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def dead_private_helpers(trees: dict) -> list[str]:
+    """`_name` functions and classes (dunders exempt) of the modules in
+    trees that no module refers to outside the helper's own definition.
+    Names are matched module-blind, so a helper sharing its name with a
+    used one passes."""
+    defined = []
+    refs = {}
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name.startswith("_") and not node.name.endswith("__")):
+                defined.append((module, node))
+            name = _referenced_name(node)
+            if name is not None:
+                refs[name] = refs.get(name, 0) + 1
+    dead = []
+    for module, node in defined:
+        own = sum(1 for sub in ast.walk(node) if _referenced_name(sub) == node.name)
+        if refs.get(node.name, 0) == own:
+            dead.append(f"{module}:{node.lineno}: {node.name}")
+    return dead
+
+
+def test_no_dead_private_helpers():
+    trees = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
+    assert dead_private_helpers(trees) == []
+
+
+def test_the_scan_sees_a_dead_private_helper():
+    trees = {
+        "a.py": ast.parse(
+            "def _dead():\n"
+            "    return 1\n"
+            "def _recursive(n):\n"
+            "    return _recursive(n - 1) if n else 0\n"
+            "def _called():\n"
+            "    return 2\n"
+            "def __dunder__():\n"
+            "    return 3\n"
+            "class _Box:\n"
+            "    def _method(self):\n"
+            "        return 4\n"
+            "    def _unused_method(self):\n"
+            "        return 5\n"
+            "def public():\n"
+            "    return _Box()._method()\n"
+        ),
+        "b.py": ast.parse("from a import _called\n"),
+    }
+    assert dead_private_helpers(trees) == [
+        "a.py:1: _dead", "a.py:3: _recursive", "a.py:12: _unused_method",
+    ]

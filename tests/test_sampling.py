@@ -18,7 +18,9 @@ from cosetlab.errors import (
 )
 from cosetlab.groups import cached_group, involution_class, parse_cycles
 from cosetlab.irreps import (
+    TRACE_INT_TOL,
     CharacterTable,
+    MatrixRep,
     group_irreps,
     irrep_labels,
     label_dim,
@@ -34,11 +36,10 @@ from cosetlab.sampling import (
     doubled_expectation,
     expected_isotypic_dimension,
     interference_moments,
+    member_projectors,
     multiregister_dist,
-    projector_rank,
     projector_sum_bound,
     strong_dist,
-    subgroup_projector,
     subset_expectation,
     subsets,
     weak_dist,
@@ -91,10 +92,7 @@ def test_basis_rejects_non_orthonormal():
 def test_basis_product_and_haar():
     rng = CounterRng(7, "basis")
     b1 = MeasurementBasis.haar(2, rng.sub("a"))
-    b2 = MeasurementBasis.standard(3)
-    prod = MeasurementBasis.product(b1, b2)
-    assert prod.dim == 6
-    assert prod.provenance.startswith("product(haar[seed=7;")
+    assert b1.provenance.startswith("haar[seed=7;")
     # Haar basis is replayable from the same stream.
     again = MeasurementBasis.haar(2, rng.sub("a"))
     np.testing.assert_array_equal(b1.vectors, again.vectors)
@@ -117,12 +115,6 @@ def test_register_tuple_validation():
 # ---------------------------------------------------------------------------
 # Projectors and ranks
 
-def test_subgroup_projector_refuses_trivial():
-    rep = group_irreps(S3)[1]
-    with pytest.raises(ValueError):
-        subgroup_projector(rep, HiddenSubgroup(S3))
-
-
 def test_projector_rank_matches_character_rank():
     for group, hidden in [
         (S3, transposition_subgroup(S3)),
@@ -131,9 +123,28 @@ def test_projector_rank_matches_character_rank():
         (W2, swap_subgroup(W2)),
         (W3, swap_subgroup(W3)),
     ]:
+        members = [group.index(m) for m in group.class_of(hidden.m).members]
+        assert len(members) > 1
         for rep in group_irreps(group):
-            proj = subgroup_projector(rep, hidden)
-            assert projector_rank(proj) == weak_rank(group, rep.label, hidden)
+            rank = weak_rank(group, rep.label, hidden)
+            projs = member_projectors(rep, members, rank)
+            assert projs.shape == (len(members), rep.dim, rep.dim)
+            traces = np.trace(projs, axis1=1, axis2=2)
+            np.testing.assert_allclose(traces, rank, rtol=0, atol=TRACE_INT_TOL)
+
+
+def test_member_projectors_refuse_a_defect_or_a_wrong_rank():
+    hidden = swap_subgroup(W3)
+    members = [W3.index(m) for m in W3.class_of(hidden.m).members]
+    for rep in group_irreps(W3):
+        rank = weak_rank(W3, rep.label, hidden)
+        member_projectors(rep, members, rank)
+        with pytest.raises(RepresentationDefectError, match="trace"):
+            member_projectors(rep, members, rank + 1)
+        stack = rep.stack.copy()
+        stack[members[-1]] *= 1.01
+        with pytest.raises(RepresentationDefectError, match="idempotent"):
+            member_projectors(MatrixRep(W3, stack, rep.name), members, rank)
 
 
 def test_standard_sign_rep_rank_zero():
@@ -289,14 +300,12 @@ def test_multiregister_k1_equals_strong():
     tup = RegisterTuple((rep,))
     a = strong_dist(rep, hidden, basis)
     b = multiregister_dist(tup, hidden, basis)
-    np.testing.assert_allclose(a.values(), b.values(), atol=1e-12)
+    assert np.array_equal(a.values(), b.values())
 
 
 def test_projected_masses_match_oracle_per_member():
     """The batched kernel over every m in M, as exact enumeration calls it,
     against the oracle's per-member Kronecker projectors."""
-    from cosetlab.bounds import _member_projectors
-
     rng = CounterRng(7, "projected-masses")
     by_name = {r.name: r for r in group_irreps(W3)}
     zero_rank = [by_name["([3],-)"], by_name["([2,1],-)"], by_name["([2,1],-)"]]
@@ -307,6 +316,7 @@ def test_projected_masses_match_oracle_per_member():
     ]
     for group, M, fixed in cases:
         reps = group_irreps(group)
+        hidden = HiddenSubgroup(group, M.representative)
         members = [group.index(m) for m in M.members]
         tuples = fixed + [
             [reps[rng.index(4 * t + i, len(reps))] for i in range(1 + t % 3)]
@@ -316,7 +326,8 @@ def test_projected_masses_match_oracle_per_member():
             D = int(np.prod([r.dim for r in tup]))
             basis = rng.sub(group.spec, t).haar_basis(D)
             masses = sampling.projected_masses(
-                [_member_projectors(r, members) for r in tup], basis
+                [member_projectors(r, members, weak_rank(group, r.label, hidden))
+                 for r in tup], basis
             )
             assert masses.shape == (M.size, D)
             for j in range(D):
