@@ -71,6 +71,7 @@ from .sampling import (
     weak_dist,
     weak_dist_tuples,
     weak_rank,
+    weak_tuple_law,
 )
 from .tableaux import (
     character_sn,
@@ -103,7 +104,7 @@ __all__ = [
     "expected_isotypic_dimension", "interference_moments", "isotypic_masses",
     "multiregister_dist", "projector_sum_bound", "strong_dist",
     "subset_expectation", "subsets", "weak_dist", "weak_dist_tuples",
-    "weak_rank",
+    "weak_rank", "weak_tuple_law",
     "character_sn", "dimension", "hook_lengths", "partitions",
     "standard_tableaux",
     "__version__",

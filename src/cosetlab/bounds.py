@@ -56,7 +56,6 @@ from .irreps import (
     label_str,
     parse_label,
 )
-from .oracle import exact_tv
 from .parallel import kahan_sum, ordered_map
 from .rng import CounterRng
 from .sampling import (
@@ -68,9 +67,8 @@ from .sampling import (
     multiregister_dist,
     normalized_characters,
     projected_masses,
-    weak_dist,
-    weak_dist_tuples,
     weak_rank,
+    weak_tuple_law,
 )
 from .tableaux import dimension
 
@@ -189,11 +187,9 @@ def full_tvd_bound(badset: BadSet, k: int) -> float:
 
 def exact_weak_tv(group: FiniteGroup, M: ConjugacyClass, k: int) -> Fraction:
     """||H^(x)k - P^(x)k||_1 by full tuple enumeration, exact."""
-    hidden = HiddenSubgroup(group, M.representative)
-    trivial = HiddenSubgroup(group)
-    return exact_tv(
-        weak_dist_tuples(group, hidden, k), weak_dist_tuples(group, trivial, k)
-    )
+    h = weak_tuple_law(group, HiddenSubgroup(group, M.representative), k)
+    p = weak_tuple_law(group, HiddenSubgroup(group), k)
+    return Fraction(sum(abs(a - b) for a, b in zip(h, p)), group.order ** k)
 
 
 # ---------------------------------------------------------------------------
@@ -222,36 +218,36 @@ class EnumerationStats:
     full_tv_weak_weighted: tuple[float, ...]
     expected_variance: tuple[float, ...]
     expectation_deviation: tuple[float, ...]
-    triple_weights: tuple[float, ...]
-    triple_values: tuple[float, ...]
+    triple_weights: np.ndarray
+    triple_values: np.ndarray
+
+
+# rows of _tuple_task's per-trial array
+EXP_TV, FULL_TV, VARIANCE, DEVIATION = range(4)
 
 
 def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
+    """One label tuple: a (4, trials) array of expectation TV, full TV,
+    variance and deviation, and the (trials, members) per-triple TVs."""
     n_m = len(projs[0])
     if rank_total == 0:
         # The tuple's projector is 0, so its masses are 0 in every basis:
         # no basis is built, and the values are those of all-zero masses.
-        pessimal = np.full(trials, PESSIMAL_TV)
-        return (pessimal, pessimal, np.zeros(trials), np.full(trials, 0.5 ** k),
-                [PESSIMAL_TV] * (n_m * trials), rank_total)
+        rows = np.array([PESSIMAL_TV, PESSIMAL_TV, 0.0, 0.5 ** k])[:, None]
+        return rows.repeat(trials, axis=1), np.full((trials, n_m), PESSIMAL_TV)
     D = prod(p.shape[-1] for p in projs)
-    exp_tv = np.empty(trials)
-    full_tv = np.empty(trials)
-    var_ = np.empty(trials)
-    dev = np.empty(trials)
-    triples = []
+    rows = np.empty((4, trials))
+    dists = np.empty((trials, n_m))
     for t in range(trials):
         basis = CounterRng(seed, "bases", tuple_idx, t).haar_basis(D)
         raw = projected_masses(projs, basis)
         mean_raw = raw.mean(axis=0)
-        var_[t] = np.mean(np.mean((raw - mean_raw) ** 2, axis=0))
-        dev[t] = np.mean(np.abs(mean_raw - 0.5 ** k))
         probs = raw / rank_total
-        tvs = np.sum(np.abs(probs - 1.0 / D), axis=1)
-        full_tv[t] = tvs.mean()
-        exp_tv[t] = np.sum(np.abs(probs.mean(axis=0) - 1.0 / D))
-        triples.extend(float(v) for v in tvs)
-    return exp_tv, full_tv, var_, dev, triples, rank_total
+        dists[t] = np.sum(np.abs(probs - 1.0 / D), axis=1)
+        rows[:, t] = (np.sum(np.abs(probs.mean(axis=0) - 1.0 / D)), dists[t].mean(),
+                      np.mean(np.mean((raw - mean_raw) ** 2, axis=0)),
+                      np.mean(np.abs(mean_raw - 0.5 ** k)))
+    return rows, dists
 
 
 def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
@@ -284,40 +280,34 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
                            trials, seed, idx, k)
 
     results = ordered_map(run, list(enumerate(tuples)), threads=threads)
+    rows = np.stack([r for r, _ in results])  # (tuples, 4, trials)
 
-    # the exact tuple laws, in the itertools.product order of `tuples`
-    planch = weak_dist_tuples(group, HiddenSubgroup(group), k).exact_values()
-    hweight = weak_dist_tuples(group, hidden, k).exact_values()
-    zero_rank_mass = sum(
-        (wp for wp, res in zip(planch, results) if res[5] == 0), Fraction(0)
-    )
-    weights_p = [float(wp) for wp in planch]
-    weights_h = [float(wh) for wh in hweight]
+    # the exact tuple laws, in the itertools.product order of `tuples`; a
+    # tuple has H weight 0 exactly when one of its ranks is 0
+    total = group.order ** k
+    planch = weak_tuple_law(group, HiddenSubgroup(group), k)
+    hlaw = weak_tuple_law(group, hidden, k)
+    zero_rank_mass = Fraction(sum(p for p, h in zip(planch, hlaw) if h == 0), total)
+    weights_p = np.array([p / total for p in planch])
+    weights_h = np.array([h / total for h in hlaw])
 
     def combine(which, weights):
-        return tuple(
-            kahan_sum(w * res[which][t] for w, res in zip(weights, results))
-            for t in range(trials)
-        )
+        return tuple(kahan_sum(weights * rows[:, which, t]) for t in range(trials))
 
-    exp_tv = combine(0, weights_p)
-    full_tv = combine(1, weights_p)
-    full_tv_h = combine(1, weights_h)
-    var_ = combine(2, weights_p)
-    dev = combine(3, weights_p)
-
-    n_m = M.size
-    triple_weights = []
-    triple_values = []
-    for w, res in zip(weights_p, results):
-        per = w / (n_m * trials)
-        for v in res[4]:
-            triple_weights.append(per)
-            triple_values.append(v)
+    per_triple = M.size * trials
     return EnumerationStats(
-        trials, zero_rank_mass, exp_tv, full_tv, full_tv_h, var_, dev,
-        tuple(triple_weights), tuple(triple_values),
+        trials, zero_rank_mass, combine(EXP_TV, weights_p), combine(FULL_TV, weights_p),
+        combine(FULL_TV, weights_h), combine(VARIANCE, weights_p),
+        combine(DEVIATION, weights_p),
+        np.repeat(weights_p / per_triple, per_triple),
+        np.stack([d for _, d in results]).reshape(-1),
     )
+
+
+def _quantiles(values, weights) -> dict:
+    return {"p50": weighted_quantile(values, weights, 0.5),
+            "p90": weighted_quantile(values, weights, 0.9),
+            "max": float(np.max(values))}
 
 
 def weighted_quantile(values, weights, q: float) -> float:
@@ -355,7 +345,8 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     if reps is None:
         reps = group_irreps(group)
     hidden = HiddenSubgroup(group, M.representative)
-    cum = np.cumsum(weak_dist(group, HiddenSubgroup(group)).values())
+    planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
+    cum = np.cumsum([p / group.order for p in planch])
     ranks = [weak_rank(group, l, hidden) for l in labels]
     values = []
     zero_hits = 0
@@ -570,11 +561,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         full_h_mean = kahan_sum(stats.full_tv_weak_weighted) / trials
         var_max = max(stats.expected_variance)
         dev_max = max(stats.expectation_deviation)
-        quantiles = {
-            "p50": weighted_quantile(stats.triple_values, stats.triple_weights, 0.5),
-            "p90": weighted_quantile(stats.triple_values, stats.triple_weights, 0.9),
-            "max": float(max(stats.triple_values)),
-        }
+        quantiles = _quantiles(stats.triple_values, stats.triple_weights)
         flags["expectation_tv"] = float(exp_b) >= exp_max - TOL
         if not full_undefined:
             flags["full_tvd"] = full_b >= full_max - TOL
@@ -589,12 +576,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
             group, M, k, seed, trials, tensor_cap, reps
         )
         vals = np.array(sampled.values)
-        ones = np.ones_like(vals)
-        quantiles = {
-            "p50": weighted_quantile(vals, ones, 0.5),
-            "p90": weighted_quantile(vals, ones, 0.9),
-            "max": float(vals.max()),
-        }
+        quantiles = _quantiles(vals, np.ones_like(vals))
         exp_max = exp_mean = None
         full_max = None
         full_mean = float(vals.mean())

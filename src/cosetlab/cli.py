@@ -31,7 +31,6 @@ from .errors import (
     CapExceededError,
     CosetLabError,
     GroupMismatchError,
-    OutcomeMismatchError,
     UnsupportedGroupError,
     ZeroRankError,
 )
@@ -103,10 +102,6 @@ def _add_output_flags(p):
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
 
 
-def _group(spec: str) -> FiniteGroup:
-    return cached_group(spec)
-
-
 def _involution(group: FiniteGroup):
     """The distinguished involution class: block-swap elements for wreath
     groups, the transposition class for symmetric groups."""
@@ -164,10 +159,6 @@ def _basis_for(args, dim: int, *stream) -> MeasurementBasis:
     return MeasurementBasis.haar(dim, CounterRng(args.seed, "cli", *stream))
 
 
-def _dist_json(dist) -> dict:
-    return dist.to_json_dict()
-
-
 def _dist_csv_rows(dist) -> list[dict]:
     rows = []
     exact = dist.exact_values() if dist.exact else None
@@ -184,7 +175,7 @@ def _dist_csv_rows(dist) -> list[dict]:
 # irreps
 
 def cmd_irreps(args) -> int:
-    group = _group(args.group)
+    group = cached_group(args.group)
     table = character_table(group)
     classes = group.conjugacy_classes()
     dims = table.dims.tolist()
@@ -237,14 +228,13 @@ def cmd_irreps(args) -> int:
 
 def cmd_sample(args) -> int:
     _require_counts(args, "k")
-    group = _group(args.group)
+    group = cached_group(args.group)
     hidden = _resolve_hidden(group, args)
     if args.weak and args.strong:
         raise UsageError("--weak and --strong are mutually exclusive")
     if args.weak:
         dist = (weak_dist(group, hidden) if args.k == 1
                 else weak_dist_tuples(group, hidden, args.k))
-        payload = _dist_json(dist)
     elif args.strong:
         if args.label is None:
             raise UsageError("--strong needs --label")
@@ -257,17 +247,14 @@ def cmd_sample(args) -> int:
             raise UsageError(f"{args.label} is not an irrep of {group.spec}")
         basis = _basis_for(args, rep.dim, "strong", label_str(target))
         dist = strong_dist(rep, hidden, basis)
-        payload = _dist_json(dist)
     else:
         payload = _tuple_report(group, hidden, args)
+        rows = payload.pop("csv_rows")
         dist = None
     if args.format == "csv":
-        rows = _dist_csv_rows(dist) if dist is not None else payload["csv_rows"]
-        payload.pop("csv_rows", None)
-        emit(csv_text(rows), args.out)
+        emit(csv_text(rows if dist is None else _dist_csv_rows(dist)), args.out)
     else:
-        payload.pop("csv_rows", None)
-        emit(json_text(payload), args.out)
+        emit(json_text(payload if dist is None else dist.to_json_dict()), args.out)
     return EXIT_OK
 
 
@@ -336,8 +323,8 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
 
 def _default_groups(args, fallback):
     if args.group:
-        return [_group(args.group)]
-    return [_group(s) for s in fallback]
+        return [cached_group(args.group)]
+    return [cached_group(s) for s in fallback]
 
 
 def _register_trials(args, irreps_of, lemma, doubled=True):
@@ -491,14 +478,14 @@ def _lemma_projector_sum(args, irreps_of) -> list:
 def _lemma_induced(args, irreps_of) -> list:
     results = []
     if args.group:
-        group = _group(args.group)
+        group = cached_group(args.group)
         if not isinstance(group, WreathGroup) or group.n > 3:
             raise UsageError("--lemma induced needs a wreath group with n <= 3")
         ns = [group.n]
     else:
         ns = [2, 3]
     for n in ns:
-        group = _group(f"wreath:{n}")
+        group = cached_group(f"wreath:{n}")
         classes = group.conjugacy_classes()
         parts = list(partitions(n))
         for i, rho in enumerate(parts):
@@ -546,9 +533,10 @@ def _lemma_induced(args, irreps_of) -> list:
 def _lemma_expected_decomp(args, irreps_of) -> list:
     results = []
     if args.group:
-        configs = [(_group(args.group), args.k)]
+        configs = [(cached_group(args.group), args.k)]
     else:
-        configs = [(_group("sym:3"), min(args.k, 3)), (_group("wreath:2"), min(args.k, 2))]
+        configs = [(cached_group("sym:3"), min(args.k, 3)),
+                   (cached_group("wreath:2"), min(args.k, 2))]
     for group, k in configs:
         table = character_table(group)
         for sigma, name, d in zip(table.labels, table.names, table.dims.tolist()):
@@ -712,26 +700,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Exit code per exception type.  The first match wins, so the CosetLabError
+# subclasses that are usage or resource errors come before the catch-all.
+EXIT_CODES = (
+    (UsageError, EXIT_USAGE),
+    (UnsupportedGroupError, EXIT_USAGE),
+    (GroupMismatchError, EXIT_USAGE),
+    (ZeroRankError, EXIT_RESOURCE),
+    (CapExceededError, EXIT_RESOURCE),
+    (BoundUndefinedError, EXIT_RESOURCE),
+    (ValueError, EXIT_USAGE),
+    (CosetLabError, EXIT_FAIL),
+)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (UnsupportedGroupError, GroupMismatchError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ZeroRankError, CapExceededError, BoundUndefinedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OutcomeMismatchError, CosetLabError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAIL
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -120,7 +120,7 @@ def parse_label(text: str):
     t = text.strip()
     if t.startswith("["):
         return parse_partition(t)
-    if t.startswith("{") and t.endswith("}"):
+    if t.startswith("{") and t.endswith("}") and "],[" in t:
         mid = t[1:-1].index("],[") + 2
         return PairLabel(parse_partition(t[1:mid]), parse_partition(t[mid:-1].lstrip(",")))
     if t.startswith("(") and t.endswith(")"):
@@ -229,9 +229,6 @@ class Irrep(MatrixRep):
         self.label = label
         self.characters = characters
 
-    def character(self, g) -> int:
-        return int(self.characters[self.group.class_position(g)])
-
     def check(self, eps: float = EPS, pair_budget: int = 2000) -> None:
         super().check(eps, pair_budget)
         classes = self.group.conjugacy_classes()
@@ -253,16 +250,6 @@ class Irrep(MatrixRep):
 # ---------------------------------------------------------------------------
 # Young's orthogonal form for S_n
 
-def _is_standard(rows) -> bool:
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if j + 1 < len(row) and row[j + 1] <= v:
-                return False
-            if i + 1 < len(rows) and j < len(rows[i + 1]) and rows[i + 1][j] <= v:
-                return False
-    return True
-
-
 def _swap_letters(tab, a: int, b: int):
     return tuple(
         tuple(b if v == a else a if v == b else v for v in row) for row in tab
@@ -282,7 +269,7 @@ def _yor_generator(lam: Partition, i: int) -> np.ndarray:
         axial = (c2 - r2) - (c1 - r1)
         mat[k, k] = 1.0 / axial
         swapped = _swap_letters(tab, i, i + 1)
-        if _is_standard(swapped):
+        if swapped in index:
             mat[index[swapped], k] = math.sqrt(1.0 - 1.0 / axial**2)
     return mat
 

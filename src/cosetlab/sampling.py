@@ -224,15 +224,35 @@ def weak_rank(group: FiniteGroup, label, hidden: HiddenSubgroup) -> int:
     return rank
 
 
-def weak_dist(group: FiniteGroup, hidden: HiddenSubgroup) -> SamplingDistribution:
-    """Exact distribution of the observed irrep label."""
+def weak_tuple_law(group: FiniteGroup, hidden: HiddenSubgroup, k: int,
+                   cap: int = 100_000) -> list[int]:
+    """The k-register weak law, exactly: one int numerator over |G|^k per
+    label tuple, in itertools.product order.  A tuple's numerator is the
+    product of its registers' d |H| weak_rank."""
     if hidden.group.spec != group.spec:
         raise GroupMismatchError("hidden subgroup belongs to a different group")
+    if k < 0:
+        raise ValueError(f"register count must be >= 0, got {k}")
     table = character_table(group)
-    outcomes = tuple(
-        (name, Fraction(d * hidden.order * weak_rank(group, lab, hidden), group.order))
-        for lab, name, d in zip(table.labels, table.names, table.dims.tolist())
-    )
+    if len(table.dims) ** k > cap:
+        raise CapExceededError(f"{len(table.dims)}^{k} tuple outcomes exceed cap {cap}")
+    single = [d * hidden.order * weak_rank(group, lab, hidden)
+              for lab, d in zip(table.labels, table.dims.tolist())]
+    law = [1]
+    for _ in range(k):
+        law = [a * b for a in law for b in single]
+    if sum(law) != group.order ** k:
+        raise RepresentationDefectError(
+            f"weak law sums to {sum(law)}, not |G|^k = {group.order ** k}"
+        )
+    return law
+
+
+def weak_dist(group: FiniteGroup, hidden: HiddenSubgroup) -> SamplingDistribution:
+    """Exact distribution of the observed irrep label."""
+    law = weak_tuple_law(group, hidden, 1)
+    outcomes = tuple((name, Fraction(w, group.order))
+                     for name, w in zip(character_table(group).names, law))
     return SamplingDistribution(
         "weak", group.spec, hidden.descriptor(), outcomes, exact=True
     )
@@ -240,19 +260,13 @@ def weak_dist(group: FiniteGroup, hidden: HiddenSubgroup) -> SamplingDistributio
 
 def weak_dist_tuples(group: FiniteGroup, hidden: HiddenSubgroup, k: int,
                      cap: int = 100_000) -> SamplingDistribution:
-    """The k-register weak distribution: a product measure over label tuples."""
-    single = weak_dist(group, hidden)
-    if len(single.outcomes) ** k > cap:
-        raise CapExceededError(
-            f"{len(single.outcomes)}^{k} tuple outcomes exceed cap {cap}"
-        )
-    outcomes = []
-    for combo in itertools.product(single.outcomes, repeat=k):
-        lbl = "(" + ",".join(lab for lab, _ in combo) + ")"
-        p = prod((p for _, p in combo), start=Fraction(1))
-        outcomes.append((lbl, p))
+    """The k-register weak distribution: weak_tuple_law with tuple labels."""
+    law = weak_tuple_law(group, hidden, k, cap)
+    combos = itertools.product(character_table(group).names, repeat=k)
+    outcomes = tuple(("(" + ",".join(combo) + ")", Fraction(w, group.order ** k))
+                     for combo, w in zip(combos, law))
     return SamplingDistribution(
-        "weak-product", group.spec, hidden.descriptor(), tuple(outcomes), exact=True
+        "weak-product", group.spec, hidden.descriptor(), outcomes, exact=True
     )
 
 

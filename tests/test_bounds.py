@@ -1,16 +1,27 @@
+import itertools
 import math
 import weakref
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cosetlab import bounds
+from cosetlab.distributions import SamplingDistribution
 from cosetlab.errors import BoundUndefinedError, CapExceededError, GroupMismatchError
 from cosetlab.groups import cached_group, involution_class
-from cosetlab.irreps import irrep_labels
+from cosetlab.irreps import character_table, group_irreps, irrep_labels
+from cosetlab.oracle import exact_tv
+from cosetlab.parallel import kahan_sum
 from cosetlab.report import json_text
 from cosetlab.rng import CounterRng
-from cosetlab.sampling import HiddenSubgroup, weak_rank
+from cosetlab.sampling import (
+    HiddenSubgroup,
+    member_projectors,
+    projected_masses,
+    weak_dist_tuples,
+    weak_rank,
+)
 
 
 def _setup(n):
@@ -120,6 +131,16 @@ def test_exact_weak_tv_wreath2_value():
     assert bounds.exact_weak_tv(g, M, 1) == Fraction(1, 2)
 
 
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)])
+def test_exact_weak_tv_equals_the_tv_of_the_labelled_laws(n, k):
+    g, M = _setup(n)
+    h = weak_dist_tuples(g, HiddenSubgroup(g, M.representative), k)
+    p = weak_dist_tuples(g, HiddenSubgroup(g), k)
+    got = bounds.exact_weak_tv(g, M, k)
+    assert type(got) is Fraction
+    assert got == exact_tv(h, p)
+
+
 def test_weak_bound_monotone_in_k():
     g, M = _setup(2)
     bad = bounds.build_bad_set(g, M, "paper")
@@ -170,6 +191,89 @@ def test_exact_enumeration_zero_rank_mass():
     assert abs(sum(stats.triple_weights) - 1.0) < 1e-9
 
 
+def _six_tuple_enumeration(g, M, k, seed, trials):
+    """exact_enumeration as it was before its tasks returned arrays: each
+    tuple gives a positional 6-tuple, and the combine reads it by position.
+    Kept literally as a reference."""
+    labels = irrep_labels(g)
+    hidden = HiddenSubgroup(g, M.representative)
+    ranks = [weak_rank(g, lab, hidden) for lab in labels]
+    members = [g.index(m) for m in M.members]
+    projs = [member_projectors(rep, members, r) for rep, r in zip(group_irreps(g), ranks)]
+
+    def task(projs, rank_total, tuple_idx):
+        n_m = len(projs[0])
+        if rank_total == 0:
+            pessimal = np.full(trials, bounds.PESSIMAL_TV)
+            return (pessimal, pessimal, np.zeros(trials), np.full(trials, 0.5 ** k),
+                    [bounds.PESSIMAL_TV] * (n_m * trials), rank_total)
+        D = math.prod(p.shape[-1] for p in projs)
+        exp_tv, full_tv = np.empty(trials), np.empty(trials)
+        var_, dev = np.empty(trials), np.empty(trials)
+        triples = []
+        for t in range(trials):
+            basis = CounterRng(seed, "bases", tuple_idx, t).haar_basis(D)
+            raw = projected_masses(projs, basis)
+            mean_raw = raw.mean(axis=0)
+            var_[t] = np.mean(np.mean((raw - mean_raw) ** 2, axis=0))
+            dev[t] = np.mean(np.abs(mean_raw - 0.5 ** k))
+            probs = raw / rank_total
+            tvs = np.sum(np.abs(probs - 1.0 / D), axis=1)
+            full_tv[t] = tvs.mean()
+            exp_tv[t] = np.sum(np.abs(probs.mean(axis=0) - 1.0 / D))
+            triples.extend(float(v) for v in tvs)
+        return exp_tv, full_tv, var_, dev, triples, rank_total
+
+    tuples = list(itertools.product(range(len(labels)), repeat=k))
+    results = [task([projs[i] for i in tup], math.prod(ranks[i] for i in tup), idx)
+               for idx, tup in enumerate(tuples)]
+    dims = character_table(g).dims.tolist()
+    planch = [math.prod((Fraction(dims[i] ** 2, g.order) for i in tup), start=Fraction(1))
+              for tup in tuples]
+    hweight = [math.prod((Fraction(2 * dims[i] * ranks[i], g.order) for i in tup),
+                         start=Fraction(1)) for tup in tuples]
+    zero_rank_mass = sum(
+        (wp for wp, res in zip(planch, results) if res[5] == 0), Fraction(0)
+    )
+    weights_p = [float(wp) for wp in planch]
+    weights_h = [float(wh) for wh in hweight]
+
+    def combine(which, weights):
+        return tuple(
+            kahan_sum(w * res[which][t] for w, res in zip(weights, results))
+            for t in range(trials)
+        )
+
+    triple_weights = []
+    triple_values = []
+    for w, res in zip(weights_p, results):
+        per = w / (M.size * trials)
+        for v in res[4]:
+            triple_weights.append(per)
+            triple_values.append(v)
+    return (zero_rank_mass, combine(0, weights_p), combine(1, weights_p),
+            combine(1, weights_h), combine(2, weights_p), combine(3, weights_p),
+            triple_weights, triple_values)
+
+
+@pytest.mark.parametrize("trials", [1, 2, 3])
+@pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+def test_exact_enumeration_equals_the_six_tuple_combine(n, k, trials):
+    g, M = _setup(n)
+    stats = bounds.exact_enumeration(g, M, k, seed=6, trials=trials)
+    (zero_rank_mass, exp_tv, full_tv, full_tv_h, var_, dev,
+     triple_weights, triple_values) = _six_tuple_enumeration(g, M, k, 6, trials)
+    assert stats.trials == trials
+    assert stats.zero_rank_mass == zero_rank_mass
+    assert stats.expectation_tv == exp_tv
+    assert stats.full_tv == full_tv
+    assert stats.full_tv_weak_weighted == full_tv_h
+    assert stats.expected_variance == var_
+    assert stats.expectation_deviation == dev
+    assert np.array_equal(stats.triple_weights, triple_weights)
+    assert np.array_equal(stats.triple_values, triple_values)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_exact_enumeration_builds_no_basis_for_zero_rank_tuples(monkeypatch, n):
     g, M = _setup(n)
@@ -206,6 +310,22 @@ def test_the_control_builds_no_basis(monkeypatch):
     report = bounds.theorem_pipeline(3, k, trials=trials)
     assert report.mode == "exact" and report.control_tv == 0.0
     assert len(built) == useful ** k * trials
+
+
+def test_the_pipeline_builds_no_labelled_tuple_law(monkeypatch):
+    # The pipeline reads the weak laws as integers; the only distribution it
+    # builds is the control's multiregister law.  Exact and sampled mode.
+    contexts = []
+    post_init = SamplingDistribution.__post_init__
+
+    def recording(self):
+        contexts.append(self.context)
+        post_init(self)
+
+    monkeypatch.setattr(SamplingDistribution, "__post_init__", recording)
+    for n, k in ((2, 2), (3, 2), (4, 1)):
+        bounds.theorem_pipeline(n, k, trials=1)
+    assert contexts == ["multiregister"] * 3
 
 
 def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):

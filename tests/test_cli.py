@@ -138,10 +138,16 @@ def test_out_of_range_count_is_a_usage_error(monkeypatch, capsys, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("work ran before the count check")
 
-    monkeypatch.setattr(cli, "_group", refuse)
+    monkeypatch.setattr(cli, "cached_group", refuse)
     monkeypatch.setattr(cli.bounds_mod, "theorem_pipeline", refuse)
     assert main(argv) == 2
     assert "must be a positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("label", ["{[2][1,1]}", "{[2]"])
+def test_malformed_label_is_a_usage_error(capsys, label):
+    assert main(["sample", "--group", "sym:3", "--strong", "--label", label]) == 2
+    assert capsys.readouterr().err == f"error: cannot parse irrep label {label!r}\n"
 
 
 def test_verify_rank(capsys):

@@ -1,7 +1,9 @@
 """Source hygiene: every imported name is used by the module importing it,
-and every private helper of the package is used somewhere in it."""
+every private helper of the package is used somewhere in it, and every
+public function or method of the package is used somewhere in the repo."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,9 @@ MODULES = sorted(
     for path in [*PACKAGE, *(ROOT / "tests").glob("*.py")]
     if path.name != "__init__.py"
 )
+# every Python file that may refer to a public function of the package
+REPO = [*PACKAGE, *(path for folder in ("tests", "demos", "bench")
+                    for path in sorted((ROOT / folder).glob("*.py")))]
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -61,32 +66,53 @@ def _referenced_name(node):
     return None
 
 
-def dead_private_helpers(trees: dict) -> list[str]:
-    """`_name` functions and classes (dunders exempt) of the modules in
-    trees that no module refers to outside the helper's own definition.
-    Names are matched module-blind, so a helper sharing its name with a
-    used one passes."""
-    defined = []
-    refs = {}
-    for module, tree in trees.items():
-        for node in ast.walk(tree):
-            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name.startswith("_") and not node.name.endswith("__")):
-                defined.append((module, node))
-            name = _referenced_name(node)
-            if name is not None:
-                refs[name] = refs.get(name, 0) + 1
+def _unreferenced(defined, trees: dict) -> list[str]:
+    """The (module, node) definitions whose name no module of trees refers
+    to outside the node's own definition.  Names are matched module-blind,
+    so a definition sharing its name with a used one passes."""
+    refs = Counter(name for tree in trees.values() for node in ast.walk(tree)
+                   if (name := _referenced_name(node)) is not None)
     dead = []
     for module, node in defined:
         own = sum(1 for sub in ast.walk(node) if _referenced_name(sub) == node.name)
-        if refs.get(node.name, 0) == own:
+        if refs[node.name] == own:
             dead.append(f"{module}:{node.lineno}: {node.name}")
     return dead
+
+
+def dead_private_helpers(trees: dict) -> list[str]:
+    """`_name` functions and classes (dunders exempt) of the modules in
+    trees that no module refers to outside the helper's own definition."""
+    defined = [
+        (module, node) for module, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+    ]
+    return _unreferenced(defined, trees)
+
+
+def dead_public_functions(package: dict, trees: dict) -> list[str]:
+    """Functions and methods without a leading underscore, at any depth of
+    the modules in package, that no module of trees (which should include
+    package) refers to outside the function's own definition."""
+    defined = [
+        (module, node) for module, tree in package.items() for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")
+    ]
+    return _unreferenced(defined, trees)
 
 
 def test_no_dead_private_helpers():
     trees = {path.name: ast.parse(path.read_text(), str(path)) for path in PACKAGE}
     assert dead_private_helpers(trees) == []
+
+
+def test_no_dead_public_functions():
+    trees = {f"{path.parent.name}/{path.name}": ast.parse(path.read_text(), str(path))
+             for path in REPO}
+    package = {name: tree for name, tree in trees.items() if name.startswith("cosetlab/")}
+    assert dead_public_functions(package, trees) == []
 
 
 def test_the_scan_sees_a_dead_private_helper():
@@ -112,4 +138,35 @@ def test_the_scan_sees_a_dead_private_helper():
     }
     assert dead_private_helpers(trees) == [
         "a.py:1: _dead", "a.py:3: _recursive", "a.py:12: _unused_method",
+    ]
+
+
+def test_the_scan_sees_a_dead_public_function():
+    package = {
+        "a.py": ast.parse(
+            "def dead():\n"
+            "    return 1\n"
+            "def recursive(n):\n"
+            "    return recursive(n - 1) if n else 0\n"
+            "def used_by_a_test():\n"
+            "    return 2\n"
+            "def _private():\n"
+            "    return 3\n"
+            "class Box:\n"
+            "    def __init__(self):\n"
+            "        self.x = 4\n"
+            "    def method(self):\n"
+            "        return 5\n"
+            "    def unused_method(self):\n"
+            "        return 6\n"
+            "def caller():\n"
+            "    return Box().method()\n"
+        ),
+    }
+    trees = {
+        **package,
+        "test_a.py": ast.parse("from a import caller, used_by_a_test\n"),
+    }
+    assert dead_public_functions(package, trees) == [
+        "a.py:1: dead", "a.py:3: recursive", "a.py:14: unused_method",
     ]

@@ -21,6 +21,7 @@ from cosetlab.irreps import (
     TRACE_INT_TOL,
     CharacterTable,
     MatrixRep,
+    character_table,
     group_irreps,
     irrep_labels,
     label_dim,
@@ -36,6 +37,7 @@ from cosetlab.sampling import (
     doubled_expectation,
     expected_isotypic_dimension,
     interference_moments,
+    isotypic_masses,
     member_projectors,
     multiregister_dist,
     projector_sum_bound,
@@ -45,6 +47,7 @@ from cosetlab.sampling import (
     weak_dist,
     weak_dist_tuples,
     weak_rank,
+    weak_tuple_law,
 )
 
 S3 = cached_group("sym:3")
@@ -203,6 +206,55 @@ def test_weak_tuples_product_measure():
         assert marg == p
     with pytest.raises(CapExceededError):
         weak_dist_tuples(S3, hidden, 2, cap=5)
+
+
+def _fraction_product_loop(group, hidden, k):
+    """The labelled k-register weak law as the Fraction product loop that
+    built it before weak_tuple_law, kept literally as a reference."""
+    table = character_table(group)
+    single = tuple(
+        (name, Fraction(d * hidden.order * weak_rank(group, lab, hidden), group.order))
+        for lab, name, d in zip(table.labels, table.names, table.dims.tolist())
+    )
+    outcomes = []
+    for combo in itertools.product(single, repeat=k):
+        lbl = "(" + ",".join(lab for lab, _ in combo) + ")"
+        p = math.prod((p for _, p in combo), start=Fraction(1))
+        outcomes.append((lbl, p))
+    return tuple(outcomes)
+
+
+@pytest.mark.parametrize("spec", ["sym:2", "sym:3", "sym:4", "sym:5",
+                                  "wreath:2", "wreath:3"])
+def test_weak_tuple_law_equals_the_fraction_product_loop(spec):
+    group = cached_group(spec)
+    involution = (swap_subgroup(group) if spec.startswith("wreath")
+                  else transposition_subgroup(group))
+    for hidden in (HiddenSubgroup(group), involution):
+        for k in (1, 2, 3):
+            law = weak_tuple_law(group, hidden, k)
+            old = _fraction_product_loop(group, hidden, k)
+            assert all(type(w) is int for w in law)
+            assert [Fraction(w, group.order ** k) for w in law] == [p for _, p in old]
+            assert weak_dist_tuples(group, hidden, k).outcomes == old
+            if k == 1:
+                assert weak_dist(group, hidden).outcomes == tuple(
+                    (lbl[1:-1], p) for lbl, p in old)
+
+
+def test_weak_tuple_law_checks_group_and_cap_first_and_its_total(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a rank was computed before the checks")
+
+    monkeypatch.setattr(sampling, "weak_rank", refuse)
+    with pytest.raises(GroupMismatchError):
+        weak_tuple_law(W2, swap_subgroup(W3), 1)
+    with pytest.raises(CapExceededError, match=r"^9\^6 tuple outcomes exceed cap 100000$"):
+        weak_tuple_law(W3, swap_subgroup(W3), 6)
+    # ranks of the trivial subgroup under |H| = 2: the law sums to 2^k |G|^k
+    monkeypatch.setattr(sampling, "weak_rank", lambda group, lab, hidden: label_dim(lab))
+    with pytest.raises(RepresentationDefectError, match="weak law sums to"):
+        weak_tuple_law(W3, swap_subgroup(W3), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -374,6 +426,29 @@ def test_subset_expectation_matches_brute():
             brute = oracle.brute_subset_overlap(tup.irreps, b, sub, M)
             assert abs(brute.imag) < 1e-9
             assert spectral == pytest.approx(brute.real, abs=1e-9)
+
+
+@pytest.mark.parametrize("spec", ["wreath:2", "wreath:3", "sym:4"])
+def test_per_element_overlap_fallback_matches_the_dense_path(monkeypatch, spec):
+    group = cached_group(spec)
+    M = (involution_class(group) if spec.startswith("wreath")
+         else group.class_of(parse_cycles("(01)", 4)))
+    largest = sorted(group_irreps(group), key=lambda rep: -rep.dim)
+    cases = []
+    for k in (1, 2, 3):
+        regs = RegisterTuple(tuple(largest[:k]))
+        b = CounterRng(5, "fallback", spec, k).unit_vector(regs.total_dim)
+        cases += [(regs, b, sub, isotypic_masses(regs, sub, b)) for sub in subsets(k)]
+
+    def refuse(*args):
+        raise AssertionError("the dense subset stack was built")
+
+    monkeypatch.setattr(sampling, "_DENSE_LIMIT", 0)
+    monkeypatch.setattr(sampling, "_subset_stack", refuse)
+    for regs, b, sub, dense in cases:
+        assert np.max(np.abs(isotypic_masses(regs, sub, b) - dense)) <= 1e-12
+        got = subset_expectation(regs, b, sub, M)
+        assert abs(got - oracle.brute_subset_overlap(regs.irreps, b, sub, M)) <= 1e-9
 
 
 def test_doubled_expectation_matches_brute():
