@@ -21,7 +21,6 @@ from .errors import (
     CosetLabError,
     GroupMismatchError,
     UnsupportedGroupError,
-    VerificationError,
     ZeroRankError,
 )
 from .groups import (
@@ -89,8 +88,7 @@ __all__ = [
     "lambda_cutoff_holds", "theorem_pipeline", "weak_tv_bound",
     "SamplingDistribution", "uniform_distribution",
     "BoundUndefinedError", "CapExceededError", "CosetLabError",
-    "GroupMismatchError", "UnsupportedGroupError", "VerificationError",
-    "ZeroRankError",
+    "GroupMismatchError", "UnsupportedGroupError", "ZeroRankError",
     "ConjugacyClass", "FiniteGroup", "Permutation", "SymmetricGroup",
     "WreathElement", "WreathGroup", "cached_group", "conjugate",
     "group_from_spec", "involution_class", "parse_cycles",

@@ -49,6 +49,8 @@ from .irreps import (
     MatrixRep,
     PairLabel,
     character_table,
+    class_character,
+    exact_int,
     group_irreps,
     label_str,
     parse_label,
@@ -249,10 +251,11 @@ def cmd_sample(args) -> int:
         dist = strong_dist(rep, hidden, basis)
     else:
         payload = _tuple_report(group, hidden, args)
-        rows = payload.pop("csv_rows")
         dist = None
     if args.format == "csv":
-        emit(csv_text(rows if dist is None else _dist_csv_rows(dist)), args.out)
+        rows = (_dist_csv_rows(dist) if dist is not None
+                else [_tuple_csv_row(entry) for entry in payload["entries"]])
+        emit(csv_text(rows), args.out)
     else:
         emit(json_text(payload if dist is None else dist.to_json_dict()), args.out)
     return EXIT_OK
@@ -272,7 +275,6 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
     reps = group_irreps(group)
 
     entries = []
-    csv_rows = []
     tuples = itertools.product(range(len(names)), repeat=k)
     for idx, (tup, prob) in enumerate(zip(tuples, probs)):
         D = prod(reps[i].dim for i in tup)
@@ -289,19 +291,11 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
                 ]
             except ZeroRankError:
                 zero_rank = True
-        tup_names = [names[i] for i in tup]
         entries.append({
-            "labels": tup_names,
+            "labels": [names[i] for i in tup],
             "weak": {"exact": str(prob), "value": float(prob)},
             "zero_rank": zero_rank,
             "conditional": conditional,
-        })
-        csv_rows.append({
-            "labels": ";".join(tup_names),
-            "weak_exact": str(prob),
-            "weak": float(prob),
-            "zero_rank": zero_rank,
-            "conditional_sum": "" if conditional is None else sum(conditional),
         })
     return {
         "command": "sample",
@@ -314,7 +308,18 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
         "outcome_sets": len(entries),
         "weak_total": str(sum(probs, Fraction(0))),
         "entries": entries,
-        "csv_rows": csv_rows,
+    }
+
+
+def _tuple_csv_row(entry: dict) -> dict:
+    """The CSV row of one tuple-report entry."""
+    conditional = entry["conditional"]
+    return {
+        "labels": ";".join(entry["labels"]),
+        "weak_exact": entry["weak"]["exact"],
+        "weak": entry["weak"]["value"],
+        "zero_rank": entry["zero_rank"],
+        "conditional_sum": "" if conditional is None else sum(conditional),
     }
 
 
@@ -357,9 +362,8 @@ def _lemma_rank(args, irreps_of) -> list:
         hidden = HiddenSubgroup(group, M.representative)
         for rep in irreps_of(group):
             proj = 0.5 * (np.eye(rep.dim) + rebuilt_matrix(rep, M.representative))
-            trace = np.trace(proj).real
-            oracle_rank = int(round(trace))
-            assert abs(trace - oracle_rank) < 1e-6
+            oracle_rank = exact_int(np.trace(proj),
+                                    f"oracle trace of Pi_m in {rep.name}")
             results.append(exact_result(
                 f"rank {group.spec} {rep.name}",
                 weak_rank(group, rep.label, hidden),
@@ -420,7 +424,7 @@ def _lemma_multiregister(args, irreps_of) -> list:
     for group, trials in _register_trials(args, irreps_of, "multiregister"):
         M = _involution(group)
         for t, _, regs, b in trials:
-            moments = interference_moments(regs, b, M, check=False)
+            moments = interference_moments(regs, b, M)
             mean_o, var_o = brute_multiregister_moments(regs.irreps, b, M)
             tag = f"{group.spec} k={args.k} trial={t}"
             results.append(equality_result(
@@ -491,12 +495,8 @@ def _lemma_induced(args, irreps_of) -> list:
         for i, rho in enumerate(parts):
             for sigma in parts[i:]:
                 induced = brute_induced_rep(n, rho, sigma)
-                for cls in classes:
+                for cls, got in zip(classes, class_character(induced)):
                     g = cls.representative
-                    trace = complex(induced.traces()[group.index(g)])
-                    assert abs(trace.imag) < 1e-6
-                    got = int(round(trace.real))
-                    assert abs(trace.real - got) < 1e-6
                     if rho == sigma:
                         want = (wreath_character(DiagonalLabel(rho, 1), g)
                                 + wreath_character(DiagonalLabel(rho, -1), g))
@@ -518,14 +518,14 @@ def _lemma_induced(args, irreps_of) -> list:
             results.append(exact_result(
                 f"normalized char at M wreath:{n} {rep.name}", want, chi))
             if isinstance(lab, DiagonalLabel):
+                traces = rep.traces()
                 for cls in classes:
                     if not cls.representative.flip:
                         continue
                     g = cls.representative
-                    mat_trace = complex(rep.traces()[group.index(g)])
                     results.append(equality_result(
                         f"diagonal flip trace wreath:{n} {rep.name} at {g}",
-                        wreath_character(lab, g), mat_trace,
+                        wreath_character(lab, g), complex(traces[group.index(g)]),
                     ))
     return results
 

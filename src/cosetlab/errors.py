@@ -1,7 +1,7 @@
 """Typed errors shared across the package.
 
-The CLI maps these onto exit codes: usage problems exit 2, verification
-failures exit 1, precondition/resource problems exit 3.
+The CLI maps these onto exit codes: usage problems exit 2, defects found
+in computed data exit 1, precondition/resource problems exit 3.
 """
 
 
@@ -35,10 +35,6 @@ class NonCharacterError(CosetLabError):
 
 class OutcomeMismatchError(CosetLabError):
     """Two distributions do not share the same outcome set."""
-
-
-class VerificationError(CosetLabError):
-    """A formula value disagreed with its brute-force oracle beyond tolerance."""
 
 
 class BoundUndefinedError(CosetLabError):

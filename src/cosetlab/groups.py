@@ -259,9 +259,6 @@ class ConjugacyClass:
     def size(self) -> int:
         return len(self.members)
 
-    def __contains__(self, g) -> bool:
-        return g in set(self.members)
-
 
 def _lex_permutations(n: int) -> np.ndarray:
     """(n!, n) array of the image tuples of S_n in enumeration order."""
@@ -363,11 +360,6 @@ class FiniteGroup:
         except KeyError:
             raise GroupMismatchError(f"{g} is not an element of {self.spec}") from None
 
-    def __contains__(self, g) -> bool:
-        if self._index is None:
-            self.index(self.identity())
-        return g in self._index
-
     def conjugacy_classes(self) -> tuple[ConjugacyClass, ...]:
         """Partition into classes by conjugation orbits, deterministic order.
 
@@ -455,12 +447,6 @@ class SymmetricGroup(FiniteGroup):
     def class_label(self, g: Permutation) -> tuple:
         return g.cycle_type()
 
-    def parse(self, text: str) -> Permutation:
-        g = parse_permutation(text)
-        if g.degree != self.n:
-            raise GroupMismatchError(f"degree {g.degree} element in {self.spec}")
-        return g
-
 
 class WreathGroup(FiniteGroup):
     """The wreath product W(n): pairs of S_n elements plus a block flip."""
@@ -518,12 +504,6 @@ class WreathGroup(FiniteGroup):
             a, b = g.alpha.cycle_type(), g.beta.cycle_type()
             return (0,) + tuple(sorted((a, b)))
         return (1, (g.alpha * g.beta).cycle_type())
-
-    def parse(self, text: str) -> WreathElement:
-        g = parse_wreath_element(text)
-        if g.degree != self.n:
-            raise GroupMismatchError(f"degree {g.degree} element in {self.spec}")
-        return g
 
 
 def group_from_spec(spec: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:

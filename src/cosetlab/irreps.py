@@ -499,16 +499,19 @@ def plancherel(group: FiniteGroup) -> SamplingDistribution:
     )
 
 
+def exact_int(value, what: str) -> int:
+    """The integer within TRACE_INT_TOL of value, whose imaginary part must
+    be within TRACE_INT_TOL of 0; NonCharacterError otherwise."""
+    z = complex(value)
+    if abs(z.imag) > TRACE_INT_TOL or abs(z.real - round(z.real)) > TRACE_INT_TOL:
+        raise NonCharacterError(f"{what} {z!r} is not an integer within tolerance")
+    return round(z.real)
+
+
 def class_character(rep: MatrixRep) -> tuple[int, ...]:
     """Exact integer class function from matrix traces (guarded rounding)."""
-    out = []
-    for cls in rep.group.conjugacy_classes():
-        t = rep.matrix(cls.representative).trace()
-        t = complex(t)
-        if abs(t.imag) > TRACE_INT_TOL or abs(t.real - round(t.real)) > TRACE_INT_TOL:
-            raise NonCharacterError(f"trace {t!r} is not an integer within tolerance")
-        out.append(round(t.real))
-    return tuple(out)
+    return tuple(exact_int(rep.matrix(cls.representative).trace(), f"{rep.name} trace")
+                 for cls in rep.group.conjugacy_classes())
 
 
 def multiplicity(rep_character, sigma, group: FiniteGroup) -> int:
@@ -521,12 +524,7 @@ def multiplicity(rep_character, sigma, group: FiniteGroup) -> int:
     classes = group.conjugacy_classes()
     if len(rep_character) != len(classes):
         raise GroupMismatchError("class function length does not match class count")
-    ints = []
-    for x in rep_character:
-        z = complex(x)
-        if abs(z.imag) > TRACE_INT_TOL or abs(z.real - round(z.real)) > TRACE_INT_TOL:
-            raise NonCharacterError(f"class function value {x!r} is not an integer")
-        ints.append(round(z.real))
+    ints = [exact_int(x, "class function value") for x in rep_character]
     table = character_table(group)
     i = table.position(sigma)
     total = sum(c.size * a * b for c, a, b in zip(classes, ints, table.chi[i].tolist()))

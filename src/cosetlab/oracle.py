@@ -243,17 +243,15 @@ class OracleResult:
         }
 
 
-def equality_result(name: str, formula, oracle, tol: float = TOL) -> OracleResult:
+def equality_result(name: str, formula, oracle) -> OracleResult:
     diff = abs(complex(formula) - complex(oracle))
-    return OracleResult(name, formula, oracle, float(diff), diff <= tol, "equality", tol)
+    return OracleResult(name, formula, oracle, float(diff), diff <= TOL)
 
 
-def inequality_result(name: str, bound, value, tol: float = TOL) -> OracleResult:
+def inequality_result(name: str, bound, value) -> OracleResult:
     """value (the exact/oracle side) must not exceed bound (the formula side)."""
     excess = float(value) - float(bound)
-    return OracleResult(
-        name, bound, value, max(excess, 0.0), excess <= tol, "inequality", tol
-    )
+    return OracleResult(name, bound, value, max(excess, 0.0), excess <= TOL, "inequality")
 
 
 def exact_result(name: str, formula, oracle) -> OracleResult:

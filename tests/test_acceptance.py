@@ -191,7 +191,7 @@ def test_criterion_05_multiregister_moments():
             regs = RegisterTuple(tuple(reps[l] for l in tup))
             basis = rng.sub("basis").haar_basis(regs.total_dim)
             b = basis[:, rng.index(1000, regs.total_dim)]
-            moments = interference_moments(regs, b, M, check=False)
+            moments = interference_moments(regs, b, M)
             mean_o, var_o = brute_multiregister_moments(regs.irreps, b, M)
             assert abs(moments.expectation - mean_o) <= EPS
             assert abs(moments.variance - var_o) <= EPS

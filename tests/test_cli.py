@@ -4,11 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import cli
+from cosetlab import cli, oracle, sampling
 from cosetlab.cli import _LEMMAS, main
+from cosetlab.groups import cached_group
+from cosetlab.irreps import CharacterTable, MatrixRep
 
 
 def run_json(capsys, argv):
@@ -180,6 +183,73 @@ def test_verify_all_small(capsys):
     assert code == 0
     assert d["all_pass"]
     assert d["pass_count"] > 150
+
+
+def _halved_masses(monkeypatch):
+    masses = sampling._masses_from_buckets
+    monkeypatch.setattr(sampling, "_masses_from_buckets",
+                        lambda *args: 0.5 * masses(*args))
+
+
+def _negated_isotypic_masses(monkeypatch):
+    masses = sampling.isotypic_masses
+    monkeypatch.setattr(sampling, "isotypic_masses", lambda *args: -masses(*args))
+
+
+def _doubled_sym3_dimension(monkeypatch):
+    table = sampling.character_table(cached_group("sym:3"))
+    dims = table.dims.copy()
+    dims[2] *= 2
+    bad = CharacterTable(table.labels, table.names, dims, table.chi)
+    character_table = sampling.character_table
+    monkeypatch.setattr(sampling, "character_table",
+                        lambda g: bad if g.spec == "sym:3" else character_table(g))
+
+
+@pytest.mark.parametrize("lemma,group,corrupt,failing", [
+    ("claim-average", "sym:3", _halved_masses, "claim rhs=1/d sym:3 [2,1] trial=0"),
+    ("projector-sum", "wreath:2", _negated_isotypic_masses, "projector-sum wreath:2"),
+    ("expected-decomp", "sym:3", _doubled_sym3_dimension,
+     "expected-decomp sym:3 k=2 sigma=[3] I=(0,)"),
+], ids=["claim-average", "projector-sum", "expected-decomp"])
+def test_verify_reports_a_failing_lemma_in_full(monkeypatch, capsys, lemma, group,
+                                                corrupt, failing):
+    corrupt(monkeypatch)
+    code = main(["verify", "--lemma", lemma, "--group", group, "--k", "2",
+                 "--trials", "2"])
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert code == 1
+    failed = [r["name"] for r in report["results"] if not r["pass"]]
+    assert report["fail_count"] == len(failed) >= 1
+    assert not report["all_pass"]
+    assert any(name.startswith(failing) for name in failed)
+    assert f"FAIL {failing}" in captured.err
+
+
+def _shifted_rebuilt_matrix(rep, g):
+    return oracle.rebuilt_matrix(rep, g) + 0.1 * np.eye(rep.dim)
+
+
+def _shifted_induced(n, rho, sigma):
+    induced = oracle.brute_induced_rep(n, rho, sigma)
+    return MatrixRep(induced.group, induced.stack + 0.1 * np.eye(induced.dim),
+                     induced.name)
+
+
+@pytest.mark.parametrize("lemma,target,corrupt,message", [
+    ("rank", "rebuilt_matrix", _shifted_rebuilt_matrix,
+     "error: oracle trace of Pi_m in "),
+    ("induced", "brute_induced_rep", _shifted_induced, "error: induced{"),
+], ids=["rank", "induced"])
+def test_a_non_integer_oracle_trace_is_a_typed_error(monkeypatch, capsys, lemma,
+                                                     target, corrupt, message):
+    monkeypatch.setattr(cli, target, corrupt)
+    assert main(["verify", "--lemma", lemma, "--group", "wreath:2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(message)
+    assert captured.err.endswith(" is not an integer within tolerance\n")
 
 
 def test_verify_builds_each_groups_stacks_once(monkeypatch, capsys):

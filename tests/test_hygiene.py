@@ -55,26 +55,44 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(tree) == ["line 2: os", "line 3: pi", "line 5: json"]
 
 
-def _referenced_name(node):
-    """The name a Name, an attribute access or an imported alias refers to."""
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.alias):
-        return node.name
-    return None
+def _foreign_modules(tree: ast.Module) -> frozenset:
+    """Names that `import x` or `import x as y` binds to a module outside
+    the cosetlab package."""
+    return frozenset(
+        alias.asname or alias.name.split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names if alias.name.split(".")[0] != "cosetlab"
+    )
+
+
+def _referenced_names(tree, foreign: frozenset):
+    """The names that the Name, attribute-access and imported-alias nodes
+    of tree refer to.  An attribute reached from a foreign module
+    (ast.parse, np.linalg.norm) refers to that module, not to the package."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if not (isinstance(root, ast.Name) and root.id in foreign):
+                yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
 
 
 def _unreferenced(defined, trees: dict) -> list[str]:
     """The (module, node) definitions whose name no module of trees refers
     to outside the node's own definition.  Names are matched module-blind,
     so a definition sharing its name with a used one passes."""
-    refs = Counter(name for tree in trees.values() for node in ast.walk(tree)
-                   if (name := _referenced_name(node)) is not None)
+    foreign = {module: _foreign_modules(tree) for module, tree in trees.items()}
+    refs = Counter(name for module, tree in trees.items()
+                   for name in _referenced_names(tree, foreign[module]))
     dead = []
     for module, node in defined:
-        own = sum(1 for sub in ast.walk(node) if _referenced_name(sub) == node.name)
+        own = sum(1 for name in _referenced_names(node, foreign[module])
+                  if name == node.name)
         if refs[node.name] == own:
             dead.append(f"{module}:{node.lineno}: {node.name}")
     return dead
@@ -161,12 +179,29 @@ def test_the_scan_sees_a_dead_public_function():
             "        return 6\n"
             "def caller():\n"
             "    return Box().method()\n"
+            "def parse(text):\n"
+            "    return text\n"
+            "def norm(v):\n"
+            "    return v\n"
+            "def used_through_the_package():\n"
+            "    return 7\n"
         ),
     }
+    # ast.parse and np.linalg.norm name attributes of foreign modules, so
+    # they do not keep a.parse or a.norm alive; cosetlab.a.<name> does.
     trees = {
         **package,
-        "test_a.py": ast.parse("from a import caller, used_by_a_test\n"),
+        "test_a.py": ast.parse(
+            "import ast\n"
+            "import numpy as np\n"
+            "import cosetlab.a\n"
+            "from a import caller, used_by_a_test\n"
+            "ast.parse('x')\n"
+            "np.linalg.norm(0)\n"
+            "cosetlab.a.used_through_the_package()\n"
+        ),
     }
     assert dead_public_functions(package, trees) == [
-        "a.py:1: dead", "a.py:3: recursive", "a.py:14: unused_method",
+        "a.py:1: dead", "a.py:3: recursive", "a.py:18: parse", "a.py:20: norm",
+        "a.py:14: unused_method",
     ]

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import json
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import oracle, sampling
+from cosetlab import cli, oracle, sampling
 from cosetlab.errors import (
     CapExceededError,
     GroupMismatchError,
@@ -475,17 +476,28 @@ def test_doubled_empty_pair_is_norm_fourth():
     assert doubled_expectation(tup, b, (), (), M) == pytest.approx(1.0, abs=1e-12)
 
 
+def _assert_moments_match_brute(mom, registers, b, M):
+    """The spectral moments against brute enumeration of M, at 1e-9: the
+    mean, the variance, and the bound not below the brute variance."""
+    mean, var = oracle.brute_multiregister_moments(registers.irreps, b, M)
+    assert abs(mom.expectation - mean) <= 1e-9
+    assert abs(mom.variance - var) <= 1e-9
+    assert mom.variance_bound >= var - 1e-9
+    return mean, var
+
+
 def test_interference_moments_pinned():
     rep = group_irreps(S3)[1]
     tup = RegisterTuple((rep, rep))
     M = S3.class_of(parse_cycles("(01)", 3))
     b = np.zeros(4, dtype=complex)
     b[0] = 1.0
-    mom = interference_moments(tup, b, M)  # check=True runs the brute oracle
+    mom = interference_moments(tup, b, M)
     assert mom.expectation == pytest.approx(3 / 8, abs=1e-12)
     assert mom.variance == pytest.approx(25 / 128, abs=1e-12)
     assert mom.variance_bound >= mom.variance
-    assert mom.oracle_mean == pytest.approx(3 / 8, abs=1e-12)
+    mean, _ = _assert_moments_match_brute(mom, tup, b, M)
+    assert mean == pytest.approx(3 / 8, abs=1e-12)
 
 
 def test_interference_moments_random_vectors_verified():
@@ -502,6 +514,7 @@ def test_interference_moments_random_vectors_verified():
             mom = interference_moments(tup, b, M)
             assert mom.variance >= -1e-12
             assert mom.variance_bound >= mom.variance - 1e-12
+            _assert_moments_match_brute(mom, tup, b, M)
 
 
 def test_trivial_register_moments_are_degenerate():
@@ -511,14 +524,14 @@ def test_trivial_register_moments_are_degenerate():
     mom = interference_moments(tup, b, M)
     assert mom.expectation == pytest.approx(1.0, abs=1e-12)
     assert mom.variance == pytest.approx(0.0, abs=1e-12)
+    _assert_moments_match_brute(mom, tup, b, M)
 
 
 def test_multiregister_expectation_verifies_against_oracle():
     tup = RegisterTuple.from_labels(W2, ["([2],-)", "([1,1],+)"])
     b = CounterRng(29).unit_vector(tup.total_dim)
-    val = interference_moments(tup, b, involution_class(W2), check=True).expectation
-    brute, _ = oracle.brute_multiregister_moments(tup.irreps, b, involution_class(W2))
-    assert val == pytest.approx(brute, abs=1e-9)
+    M = involution_class(W2)
+    _assert_moments_match_brute(interference_moments(tup, b, M), tup, b, M)
 
 
 def test_class_must_be_involutions():
@@ -664,7 +677,7 @@ def test_moments_and_projector_sum_equal_their_per_pair_sums(group, k, stream):
                             zip(ratios, masses[s1, s2].tolist()) if c))
         for s1 in nonempty for s2 in nonempty
     }
-    got = interference_moments(regs, b, M, check=False).doubled_terms
+    got = interference_moments(regs, b, M).doubled_terms
     assert list(got) == list(want)
     assert got == want
     labels = irrep_labels(group)
@@ -749,14 +762,23 @@ def test_expected_isotypic_dimension_refuses_a_corrupted_character_row(monkeypat
     assert str(got.value) == str(want.value)
 
 
-def test_expected_isotypic_dimension_refuses_a_wrong_total(monkeypatch):
+def test_expected_isotypic_dimension_returns_a_wrong_total_for_verify_to_fail(
+        monkeypatch, capsys):
     # Doubling one dimension keeps every multiplicity an integer at
-    # I = (0,), k = 2, but the dimensions no longer square-sum to |G|.
+    # I = (0,), k = 2, but the dimensions no longer square-sum to |G|.  The
+    # formula returns the total it computes; verify judges it.
     dims = sampling.character_table(S3).dims.copy()
     dims[2] *= 2
     _patched_table(monkeypatch, S3, dims=dims)
-    with pytest.raises(RepresentationDefectError, match="sigma = \\[2,1\\]"):
-        expected_isotypic_dimension(irrep_labels(S3)[1], (0,), 2, S3)
+    assert expected_isotypic_dimension(irrep_labels(S3)[0], (0,), 2, S3) == Fraction(1, 4)
+    code = cli.main(["verify", "--lemma", "expected-decomp", "--group", "sym:3",
+                     "--k", "2"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    failed = {r["name"]: r for r in report["results"] if not r["pass"]}
+    wrong = failed["expected-decomp sym:3 k=2 sigma=[3] I=(0,)"]
+    assert (wrong["formula"], wrong["oracle"]) == ("1/6", "1/4")
+    assert report["fail_count"] == len(failed)
 
 
 def test_expected_isotypic_dimension_refuses_int64_overflow(monkeypatch):
