@@ -44,7 +44,6 @@ from .irreps import (
     character_table,
     group_irreps,
     irrep_labels,
-    isotypic_projector,
     label_dim,
     label_str,
     parse_label,
@@ -94,7 +93,7 @@ __all__ = [
     "group_from_spec", "involution_class", "parse_cycles",
     "parse_permutation", "parse_wreath_element",
     "Irrep", "MatrixRep", "character_table", "group_irreps", "irrep_labels",
-    "isotypic_projector", "label_dim", "label_str", "parse_label",
+    "label_dim", "label_str", "parse_label",
     "plancherel", "wreath_character", "young_orthogonal_rep",
     "CounterRng",
     "HiddenSubgroup", "MeasurementBasis", "RegisterTuple",

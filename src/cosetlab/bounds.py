@@ -120,7 +120,7 @@ def build_bad_set(group: FiniteGroup, M: ConjugacyClass, rule) -> BadSet:
         if not isinstance(group, WreathGroup):
             raise GroupMismatchError("the dimension cutoff rule needs a wreath group")
         labels = cutoff_labels(group, group.n)
-    elif rule == "empty" or rule is None:
+    elif rule == "empty":
         labels = frozenset()
     else:
         known = set(irrep_labels(group))

@@ -507,10 +507,10 @@ def _lemma_induced(args, irreps_of) -> list:
         # normalized characters at the swap class, and the matrix truth of
         # the diagonal labels on flip elements
         M = involution_class(group)
-        pos = group.class_position(M.representative)
-        for rep in irreps_of(group):
+        column = character_table(group).chi[:, group.class_position(M.representative)]
+        for rep, x in zip(irreps_of(group), column.tolist()):
             lab = rep.label
-            chi = Fraction(int(rep.characters[pos]), rep.dim)
+            chi = Fraction(x, rep.dim)
             if isinstance(lab, PairLabel):
                 want = Fraction(0)
             else:
@@ -610,12 +610,11 @@ def cmd_bounds(args) -> int:
     _require_counts(args, "k", "trials", "threads")
     if args.lambda_all and args.labels:
         raise UsageError("--lambda-all and --labels are mutually exclusive")
+    rule = bounds_mod.CUTOFF_RULE
     if args.lambda_all:
         rule = "empty"
     elif args.labels:
         rule = [s.strip() for s in args.labels.split(";")]
-    else:
-        rule = args.cutoff
     report = bounds_mod.theorem_pipeline(
         args.n, args.k, seed=args.seed, trials=args.trials, rule=rule,
         tensor_cap=args.tensor_cap, threads=args.threads,
@@ -684,11 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--cutoff", default="paper", choices=("paper",),
-                   help="named bad-set rule: keep diagonal labels whose base "
-                        "dimension d satisfies d^5 < n^n")
     p.add_argument("--labels", default=None,
-                   help='explicit bad-set labels, ";"-separated')
+                   help='explicit bad-set labels, ";"-separated (default: '
+                        "the diagonal labels of base dimension d^5 < n^n)")
     p.add_argument("--lambda-all", action="store_true",
                    help="empty bad set, so lambda ranges over every irrep")
     p.add_argument("--full-tvd", action="store_true",

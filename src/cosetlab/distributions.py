@@ -32,12 +32,12 @@ class SamplingDistribution:
     exact: bool = False
 
     def __post_init__(self):
-        total = sum(p for _, p in self.outcomes)
         if self.exact:
+            # exact constructors check their totals in integers (weak_tuple_law,
+            # plancherel) or are exact by construction (uniform_distribution)
             assert all(isinstance(p, Fraction) for _, p in self.outcomes)
-            assert total == 1, f"exact distribution sums to {total}"
-            assert all(p >= 0 for _, p in self.outcomes)
         else:
+            total = sum(p for _, p in self.outcomes)
             assert abs(float(total) - 1.0) <= PROB_TOL, f"sums to {float(total)!r}"
             assert all(float(p) >= -PROB_TOL for _, p in self.outcomes)
 

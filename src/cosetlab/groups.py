@@ -43,7 +43,7 @@ from .errors import (
     UnsupportedGroupError,
 )
 
-DEFAULT_ELEMENT_CAP = 50_000
+ELEMENT_CAP = 50_000
 _CYCLE = re.compile(r"\(([^()]*)\)")
 _CYCLES = re.compile(r"(?:\([^()]*\)\s*)+")
 
@@ -282,9 +282,8 @@ class FiniteGroup:
 
     kind: str = "abstract"
 
-    def __init__(self, n: int, element_cap: int = DEFAULT_ELEMENT_CAP):
+    def __init__(self, n: int):
         self.n = n
-        self.element_cap = element_cap
         self._elements: tuple | None = None
         self._index: dict | None = None
         self._points: np.ndarray | None = None
@@ -330,9 +329,9 @@ class FiniteGroup:
         return f"{self.kind}:{self.n}"
 
     def _check_cap(self) -> None:
-        if self.order > self.element_cap:
+        if self.order > ELEMENT_CAP:
             raise CapExceededError(
-                f"{self.spec} has {self.order} elements, cap is {self.element_cap}"
+                f"{self.spec} has {self.order} elements, cap is {ELEMENT_CAP}"
             )
 
     @property
@@ -506,7 +505,7 @@ class WreathGroup(FiniteGroup):
         return (1, (g.alpha * g.beta).cycle_type())
 
 
-def group_from_spec(spec: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> FiniteGroup:
+def group_from_spec(spec: str) -> FiniteGroup:
     """Build a group from a "sym:n" or "wreath:n" string."""
     try:
         kind, n_text = spec.split(":")
@@ -516,9 +515,9 @@ def group_from_spec(spec: str, element_cap: int = DEFAULT_ELEMENT_CAP) -> Finite
     if n < 0:
         raise ValueError(f"degree must be nonnegative, got {n}")
     if kind == "sym":
-        return SymmetricGroup(n, element_cap)
+        return SymmetricGroup(n)
     if kind == "wreath":
-        return WreathGroup(n, element_cap)
+        return WreathGroup(n)
     raise ValueError(f"unknown group kind {kind!r}")
 
 
@@ -547,5 +546,5 @@ def involution_class(group: FiniteGroup) -> ConjugacyClass:
 
 @lru_cache(maxsize=None)
 def cached_group(spec: str) -> FiniteGroup:
-    """Shared default-cap group instances, so element tables are built once."""
+    """Shared group instances, so element tables are built once."""
     return group_from_spec(spec)

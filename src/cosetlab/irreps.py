@@ -15,7 +15,8 @@ first-in-first-out queue that pops g and pushes each unseen g * s in
 generator order visits the same levels in the same order and picks the same
 parents, so every element's matrix is the same chain of float64 products
 as that queue walk gives, bit for bit; the products of one level are one
-batched matmul.
+batched matmul.  The walk depends on n only, so one walk fills the stacks
+of every partition of n.
 
 W(n) irreps come in two families:
 
@@ -65,6 +66,8 @@ from .tableaux import (
 
 EPS = 1e-9
 TRACE_INT_TOL = 1e-6
+# sampled products in MatrixRep.check when |G| > 200
+PAIR_BUDGET = 2000
 MAX_YOR_N = 7
 MAX_WREATH_N = 4
 
@@ -176,20 +179,20 @@ class MatrixRep:
     def traces(self) -> np.ndarray:
         return np.einsum("gii->g", self.stack)
 
-    def check(self, eps: float = EPS, pair_budget: int = 2000) -> None:
-        """Verify unitarity and the homomorphism property.
+    def check(self) -> None:
+        """Verify unitarity and the homomorphism property within EPS.
 
         Exhaustive over all |G|^2 products when |G| <= 200, otherwise over
-        pair_budget deterministic pseudorandom pairs.  Raises
+        PAIR_BUDGET deterministic pseudorandom pairs.  Raises
         RepresentationDefectError on failure.
         """
         stack = self.stack
         eye = np.eye(self.dim)
         gram = np.einsum("gji,gjk->gik", stack.conj(), stack)
         worst = np.max(np.abs(gram - eye))
-        if worst > eps:
+        if worst > EPS:
             raise RepresentationDefectError(
-                f"{self.name}: unitarity defect {worst:.3e} exceeds {eps:.1e}"
+                f"{self.name}: unitarity defect {worst:.3e} exceeds {EPS:.1e}"
             )
         order = self.group.order
         if order <= 200:
@@ -197,19 +200,19 @@ class MatrixRep:
             for i in range(order):
                 prod = stack[i] @ stack
                 defect = np.max(np.abs(prod - stack[table[i]]))
-                if defect > eps:
+                if defect > EPS:
                     raise RepresentationDefectError(
                         f"{self.name}: homomorphism defect {defect:.3e} at row {i}"
                     )
         else:
             els = self.group.elements
             rng = CounterRng(0, "rep-check", self.name)
-            for t in range(pair_budget):
+            for t in range(PAIR_BUDGET):
                 i = rng.index(2 * t, order)
                 j = rng.index(2 * t + 1, order)
                 k = self.group.index(els[i] * els[j])
                 defect = np.max(np.abs(stack[i] @ stack[j] - stack[k]))
-                if defect > eps:
+                if defect > EPS:
                     raise RepresentationDefectError(
                         f"{self.name}: homomorphism defect {defect:.3e} "
                         f"at sampled pair {t}"
@@ -217,31 +220,31 @@ class MatrixRep:
 
 
 class Irrep(MatrixRep):
-    """An irreducible representation with exact integer characters.
+    """An irreducible representation: the explicit orthogonal model of the
+    module docstring for one label.  Its exact integer characters are the
+    label's row of character_table(group)."""
 
-    characters is the irrep's row of the group's character table, aligned
-    with group.conjugacy_classes(); matrix data is the explicit orthogonal
-    model described in the module docstring.
-    """
-
-    def __init__(self, group, label, stack, characters: np.ndarray):
+    def __init__(self, group, label, stack):
         super().__init__(group, stack, name=label_str(label))
         self.label = label
-        self.characters = characters
 
-    def check(self, eps: float = EPS, pair_budget: int = 2000) -> None:
-        super().check(eps, pair_budget)
+    def check(self) -> None:
+        """MatrixRep.check, then the character-table row: exact
+        irreducibility and traces equal to the characters within EPS."""
+        super().check()
+        table = character_table(self.group)
+        chi = table.chi[table.position(self.label)]
         classes = self.group.conjugacy_classes()
         # Exact irreducibility: sum |C| chi(C)^2 == |G| in integer arithmetic.
-        norm = sum(c.size * chi * chi for c, chi in zip(classes, self.characters))
+        norm = sum(c.size * x * x for c, x in zip(classes, chi.tolist()))
         if norm != self.group.order:
             raise RepresentationDefectError(
                 f"{self.name}: character norm {norm} != |G| = {self.group.order}"
             )
         traces = self.traces()
-        expected = np.array(self.characters, dtype=np.float64)[self.group.class_indices()]
+        expected = chi.astype(np.float64)[self.group.class_indices()]
         worst = np.max(np.abs(traces - expected))
-        if worst > eps:
+        if worst > EPS:
             raise RepresentationDefectError(
                 f"{self.name}: trace/character mismatch {worst:.3e}"
             )
@@ -274,23 +277,29 @@ def _yor_generator(lam: Partition, i: int) -> np.ndarray:
     return mat
 
 
-def _extend_by_generators(group: FiniteGroup, images: np.ndarray,
-                          mats: np.ndarray) -> np.ndarray:
-    """Fill a full matrix stack from generator matrices by the level-at-a-time
-    Cayley-graph walk of the module docstring.
-
-    images[j] is the point-image row of generator s_j and mats[j] its
-    (d, d) matrix; the point row of g * s_j is g's row indexed by
-    images[j]."""
+def _yor_stacks(n: int, shapes) -> list[np.ndarray]:
+    """Young's orthogonal form stacks of the given partitions of n, all
+    filled from one level-at-a-time walk of the module docstring: per level
+    the children, their parents and generators as index arrays, then
+    stack[g * s] = stack[g] @ mats[s] as one batched matmul per level."""
+    if n > MAX_YOR_N:
+        raise CapExceededError(
+            f"orthogonal-form matrices are capped at n <= {MAX_YOR_N}, got n = {n}"
+        )
+    group = cached_group(f"sym:{n}")
     pts = group.point_images()
     order, width = pts.shape
-    gens, dim = len(mats), mats.shape[1]
-    stack = np.empty((order, dim, dim))
+    # generator i is the adjacent transposition (i, i+1), with point row
+    # images[i]; the point row of g * s_i is g's row indexed by images[i]
+    gens = max(n - 1, 0)
+    images = np.tile(np.arange(n), (gens, 1))
+    for i in range(gens):
+        images[i, i : i + 2] = (i + 1, i)
     e = group.index(group.identity())
-    stack[e] = np.eye(dim)
     seen = np.zeros(order, dtype=bool)
     seen[e] = True
     frontier = np.array([e])
+    levels = []
     while frontier.size:
         # position p holds frontier[p // gens] * s_(p % gens)
         kids = group.point_rank(
@@ -303,35 +312,33 @@ def _extend_by_generators(group: FiniteGroup, images: np.ndarray,
         parents = frontier[parents]
         frontier = kids[found]
         seen[frontier] = True
-        stack[frontier] = stack[parents] @ mats[which]
+        levels.append((frontier, parents, which))
     assert seen.all(), "generators do not generate the group"
-    return stack
+    stacks = []
+    for lam in shapes:
+        d = dimension(lam)
+        mats = np.array([_yor_generator(lam, i) for i in range(gens)]).reshape(gens, d, d)
+        stack = np.empty((order, d, d))
+        stack[e] = np.eye(d)
+        for kids, parents, which in levels:
+            stack[kids] = stack[parents] @ mats[which]
+        stacks.append(stack)
+    return stacks
 
 
 def young_orthogonal_rep(lam) -> Irrep:
     """The S_n irrep of shape lam in Young's orthogonal form."""
     lam = check_partition(lam)
     n = sum(lam)
-    if n > MAX_YOR_N:
-        raise CapExceededError(
-            f"orthogonal-form matrices are capped at n <= {MAX_YOR_N}, got n = {n}"
-        )
-    group = cached_group(f"sym:{n}")
-    d = dimension(lam)
-    # generator i is the adjacent transposition (i, i+1)
-    gens = max(n - 1, 0)
-    images = np.tile(np.arange(n), (gens, 1))
-    mats = np.empty((gens, d, d))
-    for i in range(gens):
-        images[i, i : i + 2] = (i + 1, i)
-        mats[i] = _yor_generator(lam, i)
-    stack = _extend_by_generators(group, images, mats)
-    table = character_table(group)
-    return Irrep(group, lam, stack, table.chi[table.position(lam)])
+    stack, = _yor_stacks(n, [lam])
+    return Irrep(cached_group(f"sym:{n}"), lam, stack)
 
 
 def sym_irreps(n: int) -> tuple[Irrep, ...]:
-    return tuple(young_orthogonal_rep(lam) for lam in partitions(n))
+    shapes = partitions(n)
+    stacks = _yor_stacks(n, shapes)
+    group = cached_group(f"sym:{n}")
+    return tuple(Irrep(group, lam, stack) for lam, stack in zip(shapes, stacks))
 
 
 # ---------------------------------------------------------------------------
@@ -405,15 +412,15 @@ def wreath_irreps(n: int) -> tuple[Irrep, ...]:
     # point_rank, which must give every element its own index.
     assert np.array_equal(grp.point_rank(grp.point_images()), np.arange(grp.order))
 
-    sym_stacks = {lam: young_orthogonal_rep(lam).stack for lam in partitions(n)}
-    table = character_table(grp)
+    parts = partitions(n)
+    sym_stacks = dict(zip(parts, _yor_stacks(n, parts)))
     out = []
-    for lab, chi in zip(table.labels, table.chi):
+    for lab in character_table(grp).labels:
         if isinstance(lab, DiagonalLabel):
             stack = _diagonal_stack(sym_stacks[lab.rho], lab.sign)
         else:
             stack = _pair_stack(sym_stacks[lab.first], sym_stacks[lab.second])
-        out.append(Irrep(grp, lab, stack, chi))
+        out.append(Irrep(grp, lab, stack))
     assert sum(ir.dim**2 for ir in out) == grp.order
     return tuple(out)
 
@@ -427,7 +434,7 @@ def group_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Character tables, Plancherel, projectors, multiplicities
+# Character tables, Plancherel, exact traces
 
 @dataclass(frozen=True, eq=False)
 class CharacterTable:
@@ -490,9 +497,13 @@ def _build_character_table(group: FiniteGroup) -> CharacterTable:
 def plancherel(group: FiniteGroup) -> SamplingDistribution:
     """The Plancherel distribution d^2/|G| on irrep labels, exact."""
     table = character_table(group)
+    dims = table.dims.tolist()
+    total = sum(d * d for d in dims)
+    if total != group.order:
+        raise RepresentationDefectError(
+            f"squared dimensions of {group.spec} sum to {total}, not |G| = {group.order}")
     outcomes = tuple(
-        (name, Fraction(d * d, group.order))
-        for name, d in zip(table.names, table.dims.tolist())
+        (name, Fraction(d * d, group.order)) for name, d in zip(table.names, dims)
     )
     return SamplingDistribution(
         "plancherel", group.spec, "trivial", outcomes, exact=True
@@ -512,74 +523,3 @@ def class_character(rep: MatrixRep) -> tuple[int, ...]:
     """Exact integer class function from matrix traces (guarded rounding)."""
     return tuple(exact_int(rep.matrix(cls.representative).trace(), f"{rep.name} trace")
                  for cls in rep.group.conjugacy_classes())
-
-
-def multiplicity(rep_character, sigma, group: FiniteGroup) -> int:
-    """Exact multiplicity <chi_rep, chi_sigma> over the given group.
-
-    rep_character is a class function aligned with group.conjugacy_classes();
-    values must be integers (within 1e-6 if given as floats).  A non-integer
-    inner product raises NonCharacterError.
-    """
-    classes = group.conjugacy_classes()
-    if len(rep_character) != len(classes):
-        raise GroupMismatchError("class function length does not match class count")
-    ints = [exact_int(x, "class function value") for x in rep_character]
-    table = character_table(group)
-    i = table.position(sigma)
-    total = sum(c.size * a * b for c, a, b in zip(classes, ints, table.chi[i].tolist()))
-    value = Fraction(total, group.order)
-    if value.denominator != 1 or value < 0:
-        raise NonCharacterError(
-            f"inner product {value} with {table.names[i]} is not a "
-            "nonnegative integer; input is not a character"
-        )
-    return int(value)
-
-
-@dataclass(frozen=True)
-class IsotypicProjector:
-    target: str
-    matrix: np.ndarray
-    multiplicity: int
-    target_dim: int
-
-    @property
-    def rank(self) -> int:
-        return self.multiplicity * self.target_dim
-
-
-def isotypic_projector(rep: MatrixRep, sigma, eps: float = EPS) -> IsotypicProjector:
-    """Projector onto the sigma-isotypic subspace of rep, by group averaging:
-    (d_sigma/|G|) sum_g conj(chi_sigma(g)) rep(g).
-
-    Validates idempotence, self-adjointness and the trace = multiplicity *
-    d_sigma identity; failures raise RepresentationDefectError, which is how
-    a non-representation input announces itself.
-    """
-    group = rep.group
-    table = character_table(group)
-    i = table.position(sigma)
-    d_sigma = int(table.dims[i])
-    # Characters here are real integers, so conjugation is a no-op.
-    weights = table.chi[i].astype(np.float64)[group.class_indices()]
-    mat = (d_sigma / group.order) * np.einsum("g,gij->ij", weights, rep.stack)
-    defect = np.max(np.abs(mat @ mat - mat))
-    if defect > eps:
-        raise RepresentationDefectError(
-            f"isotypic projector for {table.names[i]} is not idempotent "
-            f"(defect {defect:.3e}); input is not a representation"
-        )
-    herm = np.max(np.abs(mat - mat.conj().T))
-    if herm > eps:
-        raise RepresentationDefectError(
-            f"isotypic projector for {table.names[i]} is not self-adjoint "
-            f"(defect {herm:.3e})"
-        )
-    a = multiplicity(class_character(rep), sigma, group)
-    tr = float(np.real(mat.trace()))
-    if abs(tr - a * d_sigma) > TRACE_INT_TOL:
-        raise RepresentationDefectError(
-            f"projector trace {tr!r} != multiplicity*dim = {a * d_sigma}"
-        )
-    return IsotypicProjector(table.names[i], mat, a, d_sigma)

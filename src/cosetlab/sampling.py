@@ -64,6 +64,8 @@ from .irreps import (
 from .rng import CounterRng
 
 DEFAULT_TENSOR_CAP = 4096
+# the most label tuples an exact k-register law or decomposition sum lists
+TUPLE_CAP = 100_000
 # Above this many stacked entries (|G| * D^2) the subset action falls back to
 # a per-element loop instead of a dense Kronecker stack.
 _DENSE_LIMIT = 1 << 25
@@ -102,9 +104,9 @@ class HiddenSubgroup:
 
 
 class MeasurementBasis:
-    """An orthonormal basis, columns of `vectors`, with provenance for reports."""
+    """An orthonormal basis, the columns of `vectors`."""
 
-    def __init__(self, vectors: np.ndarray, provenance: str = "explicit"):
+    def __init__(self, vectors: np.ndarray):
         arr = np.array(vectors, dtype=np.complex128)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"basis must be a square matrix, got {arr.shape}")
@@ -114,7 +116,6 @@ class MeasurementBasis:
             raise ValueError(f"basis is not orthonormal (defect {defect:.3e})")
         arr.setflags(write=False)
         self.vectors = arr
-        self.provenance = provenance
 
     @property
     def dim(self) -> int:
@@ -125,12 +126,11 @@ class MeasurementBasis:
 
     @classmethod
     def standard(cls, dim: int) -> "MeasurementBasis":
-        return cls(np.eye(dim), "standard")
+        return cls(np.eye(dim))
 
     @classmethod
     def haar(cls, dim: int, rng: CounterRng) -> "MeasurementBasis":
-        tag = "/".join(str(p) for p in rng.path)
-        return cls(rng.haar_basis(dim), f"haar[seed={rng.seed};{tag}]")
+        return cls(rng.haar_basis(dim))
 
 
 @dataclass(frozen=True)
@@ -216,23 +216,26 @@ def weak_rank(group: FiniteGroup, label, hidden: HiddenSubgroup) -> int:
     d = int(table.dims[i])
     if hidden.trivial:
         return d
-    rank, odd = divmod(d + int(table.chi[i, group.class_position(hidden.m)]), 2)
-    assert not odd and rank >= 0, (label, d)
+    chi = int(table.chi[i, group.class_position(hidden.m)])
+    rank, odd = divmod(d + chi, 2)
+    if odd or rank < 0:
+        raise NonCharacterError(f"rank (d + chi(m)) / 2 = ({d} + {chi}) / 2 of "
+                                f"{table.names[i]} is not a nonnegative integer")
     return rank
 
 
-def weak_tuple_law(group: FiniteGroup, hidden: HiddenSubgroup, k: int,
-                   cap: int = 100_000) -> list[int]:
+def weak_tuple_law(group: FiniteGroup, hidden: HiddenSubgroup, k: int) -> list[int]:
     """The k-register weak law, exactly: one int numerator over |G|^k per
-    label tuple, in itertools.product order.  A tuple's numerator is the
-    product of its registers' d |H| weak_rank."""
+    label tuple, in itertools.product order, at most TUPLE_CAP of them.  A
+    tuple's numerator is the product of its registers' d |H| weak_rank."""
     if hidden.group.spec != group.spec:
         raise GroupMismatchError("hidden subgroup belongs to a different group")
     if k < 0:
         raise ValueError(f"register count must be >= 0, got {k}")
     table = character_table(group)
-    if len(table.dims) ** k > cap:
-        raise CapExceededError(f"{len(table.dims)}^{k} tuple outcomes exceed cap {cap}")
+    if len(table.dims) ** k > TUPLE_CAP:
+        raise CapExceededError(
+            f"{len(table.dims)}^{k} tuple outcomes exceed cap {TUPLE_CAP}")
     single = [d * hidden.order * weak_rank(group, lab, hidden)
               for lab, d in zip(table.labels, table.dims.tolist())]
     law = [1]
@@ -255,10 +258,10 @@ def weak_dist(group: FiniteGroup, hidden: HiddenSubgroup) -> SamplingDistributio
     )
 
 
-def weak_dist_tuples(group: FiniteGroup, hidden: HiddenSubgroup, k: int,
-                     cap: int = 100_000) -> SamplingDistribution:
+def weak_dist_tuples(group: FiniteGroup, hidden: HiddenSubgroup,
+                     k: int) -> SamplingDistribution:
     """The k-register weak distribution: weak_tuple_law with tuple labels."""
-    law = weak_tuple_law(group, hidden, k, cap)
+    law = weak_tuple_law(group, hidden, k)
     combos = itertools.product(character_table(group).names, repeat=k)
     outcomes = tuple(("(" + ",".join(combo) + ")", Fraction(w, group.order ** k))
                      for combo, w in zip(combos, law))
@@ -393,17 +396,17 @@ def _subset_overlap_buckets(registers: RegisterTuple, subset,
     return _bucket_by_class(group, per)
 
 
-def _masses_from_buckets(group: FiniteGroup, buckets: np.ndarray,
-                         eps: float) -> np.ndarray:
+def _masses_from_buckets(group: FiniteGroup, buckets: np.ndarray) -> np.ndarray:
     """<b, J_sigma b> per irrep, in label order, from class-bucketed
-    overlaps: one dot product per character table row."""
+    overlaps: one dot product per character table row, whose imaginary part
+    must be within EPS of 0."""
     table = character_table(group)
     chi = table.chi.astype(np.float64)
     scale = table.dims / group.order
     out = np.empty(len(chi))
     for i in range(len(chi)):
         val = complex(scale[i] * np.dot(chi[i], buckets))
-        if abs(val.imag) > eps:
+        if abs(val.imag) > EPS:
             raise RepresentationDefectError(
                 f"isotypic mass for {table.names[i]} has imaginary part "
                 f"{val.imag:.3e}"
@@ -412,16 +415,15 @@ def _masses_from_buckets(group: FiniteGroup, buckets: np.ndarray,
     return out
 
 
-def isotypic_masses(registers: RegisterTuple, subset, b: np.ndarray,
-                    eps: float = EPS) -> np.ndarray:
+def isotypic_masses(registers: RegisterTuple, subset, b: np.ndarray) -> np.ndarray:
     """||J_sigma b||^2 for every irrep sigma, in label order, with g acting
     on `subset` only."""
     buckets = _subset_overlap_buckets(registers, tuple(subset), b)
-    return _masses_from_buckets(registers.group, buckets, eps)
+    return _masses_from_buckets(registers.group, buckets)
 
 
 def doubled_isotypic_masses(registers: RegisterTuple, first, seconds,
-                            b: np.ndarray, eps: float = EPS) -> np.ndarray:
+                            b: np.ndarray) -> np.ndarray:
     """||J_sigma (b (x) conj(b))||^2 per sigma, in label order, on the doubled
     space, where g acts by g^first on the left factor and conj(g^second) on
     the right: one row per subset in `seconds`.  g^first W (W = b b^dagger)
@@ -440,7 +442,7 @@ def doubled_isotypic_masses(registers: RegisterTuple, first, seconds,
         # the stack is built inline so that only one second stack is alive
         per = np.einsum("gjl,ij,gil->g", _subset_stack(registers, second).conj(),
                         w.conj(), left, optimize=["einsum_path", (0, 2), (0, 1)])
-        out[row] = _masses_from_buckets(group, _bucket_by_class(group, per), eps)
+        out[row] = _masses_from_buckets(group, _bucket_by_class(group, per))
     return out
 
 
@@ -533,7 +535,7 @@ def claim_projector_average(rep: MatrixRep, b: np.ndarray) -> tuple[float, float
     per = np.einsum("i,gij,j->g", b.conj(), rep.stack, b)
     lhs = float(np.mean(np.abs(per) ** 2))
     buckets = _bucket_by_class(group, per)
-    masses = _masses_from_buckets(group, buckets, EPS)
+    masses = _masses_from_buckets(group, buckets)
     dims = character_table(group).dims.tolist()
     rhs = float(sum(m ** 2 / d for m, d in zip(masses.tolist(), dims)))
     return lhs, rhs
@@ -563,8 +565,7 @@ def projector_sum_bound(registers: RegisterTuple, sigma,
     return float(lhs), float(rhs)
 
 
-def expected_isotypic_dimension(sigma, subset, k: int, group: FiniteGroup,
-                                cap: int = 100_000) -> Fraction:
+def expected_isotypic_dimension(sigma, subset, k: int, group: FiniteGroup) -> Fraction:
     """Expected rank fraction of J_sigma^I under k-fold Plancherel sampling:
     sum over label tuples of P(tuple) * mult(sigma) * d_sigma / d_tuple.
 
@@ -578,13 +579,14 @@ def expected_isotypic_dimension(sigma, subset, k: int, group: FiniteGroup,
         raise ValueError(f"subset {sub} out of range for k = {k}")
     table = character_table(group)
     pos = table.position(sigma)
-    if len(table.dims) ** k > cap:
-        raise CapExceededError(f"{len(table.dims)}^{k} label tuples exceed cap {cap}")
+    if len(table.dims) ** k > TUPLE_CAP:
+        raise CapExceededError(
+            f"{len(table.dims)}^{k} label tuples exceed cap {TUPLE_CAP}")
     d_sigma = int(table.dims[pos])
     weights = [c.size * x for c, x in
                zip(group.conjugacy_classes(), table.chi[pos].tolist())]
     # No int64 below exceeds (1 + sum |w_c|) * top^k.  For sym:n and wreath:n
-    # under the default element and tuple caps that peaks at 2.9e10 (sym:8,
+    # under ELEMENT_CAP and TUPLE_CAP that peaks at 2.9e10 (sym:8,
     # k = 3), far below 2^63; a larger bound is refused, never wrapped.
     top = max(int(np.abs(table.chi).max()), int(table.dims.max()))
     if (1 + sum(map(abs, weights))) * top ** k >= 2 ** 63:

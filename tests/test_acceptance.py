@@ -76,7 +76,7 @@ def test_criterion_01_representation_integrity():
                             for i, c in enumerate(classes))
                 assert inner == (group.order if a == b else 0)
         for rep in reps:
-            rep.check(EPS)
+            rep.check()
     elapsed = time.time() - t0
     assert elapsed <= 60
     print(f"PASS criterion 1: representation integrity ({elapsed:.1f}s)")

@@ -55,7 +55,6 @@ def test_empty_badset_lambda_one():
     assert bad.labels == frozenset()
     assert bad.lambda_value == 1
     assert bad.plancherel_mass == 0
-    assert bounds.build_bad_set(g, M, None).lambda_value == 1
 
 
 def test_explicit_label_rule():

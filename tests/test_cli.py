@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import cli, oracle, sampling
+from cosetlab import cli, irreps, oracle, sampling
 from cosetlab.cli import _LEMMAS, main
-from cosetlab.groups import cached_group
-from cosetlab.irreps import CharacterTable, MatrixRep
+from cosetlab.groups import cached_group, parse_cycles
+from cosetlab.irreps import CharacterTable, MatrixRep, character_table
 
 
 def run_json(capsys, argv):
@@ -291,11 +291,32 @@ def test_verify_csv(capsys):
 
 
 def test_bounds_cutoff_example(capsys):
-    code, d = run_json(capsys, ["bounds", "--n", "2", "--k", "1",
-                                "--cutoff", "paper", "--trials", "4"])
+    code, d = run_json(capsys, ["bounds", "--n", "2", "--k", "1", "--trials", "4"])
     assert code == 0
+    assert d["bad_set"]["rule"] == "paper"
     assert d["bad_set"]["lambda"]["exact"] == "0"
     assert d["all_pass"]
+    # the dimension cutoff is the default rule, not a flag
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--n", "2", "--cutoff", "paper"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --cutoff paper" in capsys.readouterr().err
+
+
+def test_an_odd_weak_rank_is_a_typed_error(monkeypatch, capsys):
+    # chi(m) of [2,1] at a transposition shifted from 0 to 1 makes the
+    # rank (d + chi(m)) / 2 = 3/2
+    group = cached_group("sym:3")
+    table = character_table(group)
+    chi = table.chi.copy()
+    chi[table.position((2, 1)), group.class_position(parse_cycles("(01)", 3))] += 1
+    monkeypatch.setitem(irreps._TABLE_CACHE, group.spec, CharacterTable(
+        table.labels, table.names, table.dims, chi))
+    assert main(["sample", "--group", "sym:3", "--weak", "--m", "(01)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: rank (d + chi(m)) / 2 = (2 + 1) / 2 of [2,1]")
+    assert captured.err.count("\n") == 1
 
 
 def test_bounds_lambda_all(capsys):

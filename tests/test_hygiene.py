@@ -1,6 +1,7 @@
 """Source hygiene: every imported name is used by the module importing it,
-every private helper of the package is used somewhere in it, and every
-public function or method of the package is used somewhere in the repo."""
+every private helper of the package is used somewhere in it, every public
+function or method of the package is used somewhere in the repo, and every
+defaulted parameter of the package is set by some call in the repo."""
 
 import ast
 from collections import Counter
@@ -204,4 +205,149 @@ def test_the_scan_sees_a_dead_public_function():
     assert dead_public_functions(package, trees) == [
         "a.py:1: dead", "a.py:3: recursive", "a.py:18: parse", "a.py:20: norm",
         "a.py:14: unused_method",
+    ]
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(node, name, position, parameter) for every defaulted parameter of
+    the functions and methods of tree.  name is the name a call spells: the
+    function's own, or the class name for __init__.  position is the
+    parameter's index among the positional arguments of a call (self and
+    cls skipped), None for a keyword-only parameter."""
+    scopes = [(tree, None)]
+    while scopes:
+        scope, owner = scopes.pop()
+        for node in ast.iter_child_nodes(scope):
+            if isinstance(node, ast.ClassDef):
+                scopes.append((node, node.name))
+                continue
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                scopes.append((node, owner))
+                continue
+            name = owner if node.name == "__init__" else node.name
+            args = node.args
+            positional = [*args.posonlyargs, *args.args]
+            static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                         for d in node.decorator_list)
+            skip = 1 if owner and not static else 0
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node, name, i - skip, arg.arg
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node, name, None, arg.arg
+            scopes.append((node, None))
+
+
+def _calls(tree, foreign: frozenset, bases=()):
+    """(names, positional count, keywords, star, double star) for every
+    call of tree that spells a name: f(...), x.f(...), super().f(...).
+    super().__init__(...) names the enclosing class's bases.  A call
+    through a foreign module (np.linalg.norm(...)) is left out."""
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.ClassDef):
+            yield from _calls(node, foreign, tuple(
+                b.id if isinstance(b, ast.Name) else getattr(b, "attr", "")
+                for b in node.bases))
+            continue
+        yield from _calls(node, foreign, bases)
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name):
+            names = {func.id}
+        elif isinstance(func, ast.Attribute):
+            root = func.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in foreign:
+                continue
+            names = {func.attr}
+            if (func.attr == "__init__" and isinstance(root, ast.Call)
+                    and isinstance(root.func, ast.Name) and root.func.id == "super"):
+                names = set(bases)
+        else:
+            continue
+        star = any(isinstance(a, ast.Starred) for a in node.args)
+        count = next((i for i, a in enumerate(node.args)
+                      if isinstance(a, ast.Starred)), len(node.args))
+        keywords = {kw.arg for kw in node.keywords}
+        yield names, count, keywords - {None}, star, None in keywords
+
+
+def unset_defaults(package: dict, trees: dict) -> list[str]:
+    """Defaulted parameters of the functions and methods in package that
+    no call in trees sets, by keyword, by position, or through *args or
+    **kwargs; a wrapper passing its own parameter on sets it too.  Calls
+    are matched by the name they spell, module-blind: a class call only
+    reaches that class's own __init__, and a call through another name
+    (cls(...), a stored function) is not seen."""
+    calls = [call for module, tree in trees.items()
+             for call in _calls(tree, _foreign_modules(tree))]
+    unset = []
+    for module, tree in package.items():
+        for node, name, position, param in _defaulted_parameters(tree):
+            if not any(
+                name in names and (
+                    param in keywords or double
+                    or (position is not None and (count > position or star)))
+                for names, count, keywords, star, double in calls
+            ):
+                unset.append((module, node.lineno, name, param))
+    return [f"{module}:{line}: {name}({param})"
+            for module, line, name, param in sorted(unset)]
+
+
+def test_every_default_is_set_by_some_call():
+    trees = {f"{path.parent.name}/{path.name}": ast.parse(path.read_text(), str(path))
+             for path in REPO}
+    package = {name: tree for name, tree in trees.items() if name.startswith("cosetlab/")}
+    assert unset_defaults(package, trees) == []
+
+
+def test_the_scan_sees_an_unset_default():
+    package = {
+        "a.py": ast.parse(
+            "def f(x, flag=False, *, mode='a', unused=1):\n"
+            "    return g(x, level=1)\n"
+            "def g(x, level=0):\n"
+            "    return x\n"
+            "def h(x, depth=0, width=0):\n"
+            "    return x\n"
+            "def spread(*args):\n"
+            "    return h(*args)\n"
+            "def never(x, y=None):\n"
+            "    return x\n"
+            "class Box:\n"
+            "    def __init__(self, size=1, color='red'):\n"
+            "        self.size = size\n"
+            "    def grow(self, by=1, limit=None):\n"
+            "        return by\n"
+            "    @staticmethod\n"
+            "    def make(n, fill=0):\n"
+            "        return n\n"
+            "class Small(Box):\n"
+            "    def __init__(self, size=1):\n"
+            "        super().__init__(size)\n"
+        ),
+    }
+    # keyword (mode, level), position (Box.grow's by, with self skipped;
+    # Box.make's fill, static), super() pass-through (Box's size, but not
+    # Small's, which no Small(...) call sets), *args (depth, width);
+    # np.never(1, 2) calls a foreign module
+    trees = {
+        **package,
+        "test_a.py": ast.parse(
+            "import numpy as np\n"
+            "from a import Box, f, spread\n"
+            "f(1, mode='b')\n"
+            "spread(1, 2, 3)\n"
+            "Box().grow(2)\n"
+            "Box.make(1, 2)\n"
+            "np.never(1, 2)\n"
+        ),
+    }
+    assert unset_defaults(package, trees) == [
+        "a.py:1: f(flag)", "a.py:1: f(unused)", "a.py:9: never(y)",
+        "a.py:12: Box(color)", "a.py:14: grow(limit)", "a.py:20: Small(size)",
     ]

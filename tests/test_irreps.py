@@ -6,7 +6,6 @@ import pytest
 
 from cosetlab.errors import (
     CapExceededError,
-    NonCharacterError,
     RepresentationDefectError,
 )
 from cosetlab.groups import (
@@ -24,10 +23,8 @@ from cosetlab.irreps import (
     character_table,
     group_irreps,
     irrep_labels,
-    isotypic_projector,
     label_dim,
     label_str,
-    multiplicity,
     parse_label,
     plancherel,
     wreath_character,
@@ -97,8 +94,13 @@ def _fifo_stack(lam):
 
 @pytest.mark.parametrize("n", range(7))
 def test_level_fill_has_the_bits_of_a_fifo_walk(n):
-    for lam in partitions(n):
-        assert np.array_equal(young_orthogonal_rep(lam).stack, _fifo_stack(lam)), lam
+    # sym_irreps fills every partition from one walk, young_orthogonal_rep
+    # one partition from its own
+    for lam, rep in zip(partitions(n), irreps.sym_irreps(n)):
+        want = _fifo_stack(lam)
+        assert rep.label == lam
+        assert np.array_equal(rep.stack, want), lam
+        assert np.array_equal(young_orthogonal_rep(lam).stack, want), lam
 
 
 def test_yor_cap():
@@ -196,8 +198,7 @@ def test_character_table_rows_are_group_irreps_positions(spec):
         assert rep.label == table.labels[i]
         assert rep.name == table.names[i] == label_str(table.labels[i])
         assert rep.dim == table.dims[i]
-        assert np.array_equal(rep.characters, table.chi[i])
-        # the matrices, not just the stored row, carry row i's characters
+        # the matrices carry row i's characters
         traces = rep.traces()[[grp.index(c.representative)
                                for c in grp.conjugacy_classes()]]
         assert np.allclose(traces, table.chi[i], atol=1e-9)
@@ -247,80 +248,22 @@ def test_plancherel_wreath2():
     assert sum(masses) == 1
 
 
+def test_plancherel_refuses_dimensions_that_do_not_square_sum_to_the_order(monkeypatch):
+    grp = cached_group("sym:3")
+    table = character_table(grp)
+    dims = table.dims.copy()
+    dims[0] = 2  # 4 + 4 + 1 != 6
+    monkeypatch.setitem(irreps._TABLE_CACHE, grp.spec, irreps.CharacterTable(
+        table.labels, table.names, dims, table.chi))
+    with pytest.raises(RepresentationDefectError, match="sum to 9, not"):
+        plancherel(grp)
+
+
 def test_plancherel_wreath4_character_only():
     # No matrices needed at n=4 for exact label-level data.
     dist = plancherel(cached_group("wreath:4"))
     assert sum(dist.exact_values()) == 1
     assert len(dist.outcomes) == 20
-
-
-def test_isotypic_projector_on_irreducible_is_identity():
-    rep = young_orthogonal_rep((2, 1))
-    proj = isotypic_projector(rep, (2, 1))
-    assert np.allclose(proj.matrix, np.eye(2), atol=1e-12)
-    assert proj.multiplicity == 1 and proj.rank == 2
-
-
-def test_isotypic_projector_absent_irrep_is_zero():
-    rep = young_orthogonal_rep((2, 1))
-    proj = isotypic_projector(rep, (3,))
-    assert np.allclose(proj.matrix, 0.0, atol=1e-12)
-    assert proj.multiplicity == 0
-
-
-def tensor_rep(a: MatrixRep, b: MatrixRep) -> MatrixRep:
-    stack = np.einsum("gij,gkl->gikjl", a.stack, b.stack).reshape(
-        a.group.order, a.dim * b.dim, a.dim * b.dim
-    )
-    return MatrixRep(a.group, stack, name=f"{a.name}x{b.name}")
-
-
-def test_trivial_multiplicity_in_rho_tensor_rho_star():
-    rep = young_orthogonal_rep((2, 1))
-    # Real orthogonal model: the dual is the same matrix stack.
-    sq = tensor_rep(rep, rep)
-    proj = isotypic_projector(sq, (3,))
-    assert proj.multiplicity == 1
-    assert abs(proj.matrix.trace() - 1.0) < 1e-9
-
-
-def test_s3_tensor_square_multiplicities():
-    rep = young_orthogonal_rep((2, 1))
-    sq = tensor_rep(rep, rep)
-    from cosetlab.irreps import class_character
-
-    chi = class_character(sq)
-    mults = [multiplicity(chi, lam, rep.group) for lam in partitions(3)]
-    assert mults == [1, 1, 1]
-
-
-def test_isotypic_projectors_orthogonal_and_complete():
-    grp = cached_group("sym:4")
-    rep_a = young_orthogonal_rep((3, 1))
-    rep_b = young_orthogonal_rep((2, 1, 1))
-    big = tensor_rep(rep_a, rep_b)
-    projs = [isotypic_projector(big, lam).matrix for lam in partitions(4)]
-    total = sum(projs)
-    assert np.allclose(total, np.eye(big.dim), atol=1e-9)
-    for i in range(len(projs)):
-        for j in range(i + 1, len(projs)):
-            assert np.max(np.abs(projs[i] @ projs[j])) < 1e-9
-
-
-def test_multiplicity_rejects_non_characters():
-    grp = cached_group("sym:3")
-    with pytest.raises(NonCharacterError):
-        multiplicity((1, 0, 0), (3,), grp)  # not a class fn of a rep
-    with pytest.raises(NonCharacterError):
-        multiplicity((1.5, 0.0, 0.0), (3,), grp)
-
-
-def test_isotypic_projector_rejects_non_representation():
-    grp = cached_group("sym:3")
-    bad_stack = np.stack([np.eye(2) * (1 + 0.2 * i) for i in range(grp.order)])
-    bad = MatrixRep(grp, bad_stack, name="bad")
-    with pytest.raises(RepresentationDefectError):
-        isotypic_projector(bad, (2, 1))
 
 
 def test_rep_check_detects_broken_homomorphism():

@@ -96,7 +96,6 @@ def test_basis_rejects_non_orthonormal():
 def test_basis_product_and_haar():
     rng = CounterRng(7, "basis")
     b1 = MeasurementBasis.haar(2, rng.sub("a"))
-    assert b1.provenance.startswith("haar[seed=7;")
     # Haar basis is replayable from the same stream.
     again = MeasurementBasis.haar(2, rng.sub("a"))
     np.testing.assert_array_equal(b1.vectors, again.vectors)
@@ -194,7 +193,7 @@ def test_weak_wreath_swap_pairs_get_half_dimension_rank():
             assert 2 * rank == label_dim(lab)
 
 
-def test_weak_tuples_product_measure():
+def test_weak_tuples_product_measure(monkeypatch):
     hidden = transposition_subgroup(S3)
     dist = weak_dist_tuples(S3, hidden, 2)
     assert sum(dist.exact_values()) == 1
@@ -205,8 +204,9 @@ def test_weak_tuples_product_measure():
             q for lbl, q in dist.outcomes if lbl.startswith("(" + lab + ",")
         )
         assert marg == p
+    monkeypatch.setattr(sampling, "TUPLE_CAP", 5)
     with pytest.raises(CapExceededError):
-        weak_dist_tuples(S3, hidden, 2, cap=5)
+        weak_dist_tuples(S3, hidden, 2)
 
 
 def _fraction_product_loop(group, hidden, k):
@@ -608,13 +608,14 @@ def test_expected_isotypic_dimension_identity():
                     assert val == Fraction(label_dim(sigma) ** 2, group.order)
 
 
-def test_expected_isotypic_dimension_guards():
+def test_expected_isotypic_dimension_guards(monkeypatch):
     with pytest.raises(ValueError):
         expected_isotypic_dimension((3,), (), 2, S3)
     with pytest.raises(ValueError):
         expected_isotypic_dimension((3,), (5,), 2, S3)
+    monkeypatch.setattr(sampling, "TUPLE_CAP", 3)
     with pytest.raises(CapExceededError):
-        expected_isotypic_dimension((3,), (0,), 2, S3, cap=3)
+        expected_isotypic_dimension((3,), (0,), 2, S3)
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +630,7 @@ def _four_operand_masses(regs, first, second, b):
     per = np.einsum("gik,kl,gjl,ij->g", s1, w, s2.conj(), w.conj(), optimize=True)
     group = regs.group
     buckets = sampling._bucket_by_class(group, per)
-    return per, sampling._masses_from_buckets(group, buckets, sampling.EPS)
+    return per, sampling._masses_from_buckets(group, buckets)
 
 
 def _random_registers(group, k, stream):
