@@ -20,22 +20,24 @@ for n in (2, 3):
 
 print("\nfull pipeline, wreath:2, two registers:")
 report = bounds.theorem_pipeline(2, 2, seed=1, trials=8)
-print(f"  weak:        bound {float(report.weak_bound):.4f}  "
-      f"exact {float(report.weak_exact):.4f}")
-print(f"  expectation: bound {float(report.expectation_bound):.4f}  "
-      f"exact max {report.expectation_exact_max:.4f}")
-print(f"  full:        bound {report.full_bound:.4f}  "
-      f"exact max {report.full_exact_max:.4f}")
-print(f"  variance:    Delta {float(report.delta_value):.4f}  "
-      f"exact max {report.expected_variance_max:.6f}")
-print(f"  zero-rank tuple mass (scored pessimally): {report.zero_rank_mass}")
-print(f"  per-triple distance quantiles: {report.quantiles}")
-print(f"  trivial-subgroup control distance: {report.control_tv}")
-print(f"  all checks pass: {report.all_pass}")
+bound, exact = report["bounds"], report["exact"]
+print(f"  weak:        bound {bound['weak_tv']['value']:.4f}  "
+      f"exact {exact['weak_tv']['value']:.4f}")
+print(f"  expectation: bound {bound['expectation_tv']['value']:.4f}  "
+      f"exact max {exact['expectation_tv_max']:.4f}")
+print(f"  full:        bound {bound['full_tvd']:.4f}  "
+      f"exact max {exact['full_tv_max']:.4f}")
+print(f"  variance:    Delta {report['delta']['value']:.4f}  "
+      f"exact max {exact['expected_variance_max']:.6f}")
+print(f"  zero-rank tuple mass (scored pessimally): {exact['zero_rank_mass']['exact']}")
+print(f"  per-triple distance quantiles: {report['quantiles']}")
+print(f"  trivial-subgroup control distance: {report['control_trivial_tv']}")
+print(f"  all checks pass: {report['all_pass']}")
 
 print("\nsampled mode (tuple space too large to enumerate), wreath:4:")
 report = bounds.theorem_pipeline(4, 1, seed=1, trials=6)
-print(f"  mode {report.mode}, lambda = {report.lambda_value}, "
-      f"P = {report.plancherel_mass}")
-print(f"  full bound {report.full_bound:.4f}, sampled mean {report.full_exact_mean:.4f}")
-print(f"  all checks pass: {report.all_pass}")
+print(f"  mode {report['mode']}, lambda = {report['bad_set']['lambda']['exact']}, "
+      f"P = {report['bad_set']['plancherel_mass']['exact']}")
+print(f"  full bound {report['bounds']['full_tvd']:.4f}, "
+      f"sampled mean {report['exact']['full_tv_mean']:.4f}")
+print(f"  all checks pass: {report['all_pass']}")

@@ -3,7 +3,6 @@ states over symmetric groups and their block-swap wreath products."""
 
 from .bounds import (
     BadSet,
-    BoundReport,
     build_bad_set,
     delta,
     delta_alt,
@@ -82,7 +81,7 @@ from .tableaux import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BadSet", "BoundReport", "build_bad_set", "delta", "delta_alt",
+    "BadSet", "build_bad_set", "delta", "delta_alt",
     "exact_weak_tv", "expectation_tv_bound", "full_tvd_bound",
     "lambda_cutoff_holds", "theorem_pipeline", "weak_tv_bound",
     "SamplingDistribution", "uniform_distribution",

@@ -86,7 +86,6 @@ class BadSet:
     """A set Lambda of irrep labels with its exact lambda and mass."""
 
     group: FiniteGroup
-    M: ConjugacyClass
     labels: frozenset
     lambda_value: Fraction
     plancherel_mass: Fraction
@@ -140,7 +139,7 @@ def build_bad_set(group: FiniteGroup, M: ConjugacyClass, rule) -> BadSet:
          for l, d in zip(table.labels, table.dims.tolist()) if l in labels),
         Fraction(0),
     )
-    return BadSet(group, M, labels, lam, mass, complement_empty=not outside)
+    return BadSet(group, labels, lam, mass, complement_empty=not outside)
 
 
 def lambda_cutoff_holds(badset: BadSet, n: int) -> bool:
@@ -325,21 +324,15 @@ def weighted_quantile(values, weights, q: float) -> float:
 # ---------------------------------------------------------------------------
 # Sampled mode (tuple space too large to enumerate)
 
-@dataclass(frozen=True)
-class SampledStats:
-    trials: int
-    values: tuple[float, ...]
-    zero_rank_hits: int
-
-
 def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
                         seed: int, trials: int,
                         tensor_cap: int = DEFAULT_TENSOR_CAP,
-                        reps: tuple | None = None) -> SampledStats:
+                        reps: tuple | None = None) -> np.ndarray:
     """Monte Carlo over (tuple, m, basis) triples: tuple per-register from
     the Plancherel measure, m uniform in M, basis Haar-seeded.  Returns the
-    per-triple L1 distances to uniform (pessimal 2 on zero-rank tuples).
-    reps is the group's group_irreps tuple, built here when not given."""
+    (trials,) per-triple L1 distances to uniform (pessimal 2 on zero-rank
+    tuples).  reps is the group's group_irreps tuple, built here when not
+    given."""
     _check_tensor_cap(group, k, tensor_cap)
     labels = irrep_labels(group)
     if reps is None:
@@ -348,8 +341,7 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
     cum = np.cumsum([p / group.order for p in planch])
     ranks = [weak_rank(group, l, hidden) for l in labels]
-    values = []
-    zero_hits = 0
+    values = np.full(trials, PESSIMAL_TV)
     for t in range(trials):
         rng = CounterRng(seed, "sampled", t)
         picks = rng.floats01(0, k)
@@ -361,143 +353,20 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
         rank_total = prod(ranks[i] for i in tup)
         m = group.index(M.members[rng.index(k, M.size)])
         if rank_total == 0:
-            values.append(PESSIMAL_TV)
-            zero_hits += 1
             continue
         basis = rng.sub("basis").haar_basis(D)
         projs = [member_projectors(reps[i], [m], ranks[i]) for i in tup]
         probs = projected_masses(projs, basis)[0] / rank_total
-        values.append(float(np.sum(np.abs(probs - 1.0 / D))))
-    return SampledStats(trials, tuple(values), zero_hits)
+        values[t] = np.sum(np.abs(probs - 1.0 / D))
+    return values
 
 
 # ---------------------------------------------------------------------------
 # The assembled pipeline
 
-@dataclass(frozen=True)
-class BoundReport:
-    group_spec: str
-    n: int
-    k: int
-    mode: str
-    seed: int
-    trials: int
-    class_descriptor: str
-    class_size: int
-    rule: str
-    bad_labels: tuple[str, ...]
-    lambda_value: Fraction
-    lambda_complement_empty: bool
-    plancherel_mass: Fraction
-    sum_dims: int
-    delta_value: Fraction
-    delta_alt_value: Fraction
-    weak_bound: Fraction
-    weak_exact: Fraction
-    expectation_bound: Fraction
-    full_bound: float | None
-    full_bound_undefined: bool
-    expectation_exact_max: float | None
-    expectation_exact_mean: float | None
-    full_exact_max: float | None
-    full_exact_mean: float | None
-    full_exact_weak_weighted_mean: float | None
-    expected_variance_max: float | None
-    expectation_deviation_max: float | None
-    zero_rank_mass: Fraction | None
-    quantiles: dict | None
-    control_tv: float
-    lambda_cutoff_ok: bool | None
-    flags: dict
-
-    @property
-    def all_pass(self) -> bool:
-        return all(self.flags.values())
-
-    def to_json_dict(self) -> dict:
-        def frac(x):
-            return None if x is None else {"exact": str(x), "value": float(x)}
-
-        return {
-            "report": "bounds",
-            "group": self.group_spec,
-            "n": self.n,
-            "k": self.k,
-            "mode": self.mode,
-            "seed": self.seed,
-            "trials": self.trials,
-            "involution_class": {
-                "descriptor": self.class_descriptor,
-                "size": self.class_size,
-            },
-            "bad_set": {
-                "rule": self.rule,
-                "labels": list(self.bad_labels),
-                "lambda": frac(self.lambda_value),
-                "lambda_complement_empty": self.lambda_complement_empty,
-                "plancherel_mass": frac(self.plancherel_mass),
-            },
-            "sum_dims": self.sum_dims,
-            "delta": frac(self.delta_value),
-            "delta_alt": frac(self.delta_alt_value),
-            "bounds": {
-                "weak_tv": frac(self.weak_bound),
-                "expectation_tv": frac(self.expectation_bound),
-                "full_tvd": self.full_bound,
-                "full_tvd_undefined": self.full_bound_undefined,
-            },
-            "exact": {
-                "weak_tv": frac(self.weak_exact),
-                "expectation_tv_max": self.expectation_exact_max,
-                "expectation_tv_mean": self.expectation_exact_mean,
-                "full_tv_max": self.full_exact_max,
-                "full_tv_mean": self.full_exact_mean,
-                "full_tv_weak_weighted_mean": self.full_exact_weak_weighted_mean,
-                "expected_variance_max": self.expected_variance_max,
-                "expectation_deviation_max": self.expectation_deviation_max,
-                "zero_rank_mass": frac(self.zero_rank_mass),
-            },
-            "quantiles": self.quantiles,
-            "control_trivial_tv": self.control_tv,
-            "lambda_cutoff_ok": self.lambda_cutoff_ok,
-            "flags": dict(self.flags),
-            "all_pass": self.all_pass,
-        }
-
-    def csv_rows(self) -> list[dict]:
-        row = {
-            "group": self.group_spec,
-            "n": self.n,
-            "k": self.k,
-            "mode": self.mode,
-            "seed": self.seed,
-            "trials": self.trials,
-            "class": self.class_descriptor,
-            "rule": self.rule,
-            "lambda": float(self.lambda_value),
-            "plancherel_mass": float(self.plancherel_mass),
-            "delta": float(self.delta_value),
-            "delta_alt": float(self.delta_alt_value),
-            "weak_bound": float(self.weak_bound),
-            "weak_exact": float(self.weak_exact),
-            "expectation_bound": float(self.expectation_bound),
-            "expectation_exact_max": _blank(self.expectation_exact_max),
-            "full_bound": _blank(self.full_bound),
-            "full_exact_max": _blank(self.full_exact_max),
-            "expected_variance_max": _blank(self.expected_variance_max),
-            "zero_rank_mass": _blank(
-                None if self.zero_rank_mass is None else float(self.zero_rank_mass)
-            ),
-            "control_trivial_tv": self.control_tv,
-            "all_pass": self.all_pass,
-        }
-        for name, ok in self.flags.items():
-            row["flag_" + name] = ok
-        return [row]
-
-
-def _blank(x):
-    return "" if x is None else x
+def _frac(x) -> dict | None:
+    """An exact value as the report prints it, or None."""
+    return None if x is None else {"exact": str(x), "value": float(x)}
 
 
 def _control_tv(group, reps, k, tensor_cap) -> float:
@@ -515,8 +384,11 @@ def _control_tv(group, reps, k, tensor_cap) -> float:
 
 def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
                      rule=CUTOFF_RULE, tensor_cap: int = DEFAULT_TENSOR_CAP,
-                     threads: int = 1) -> BoundReport:
-    """End-to-end bound report over the wreath group on 2n points."""
+                     threads: int = 1) -> dict:
+    """End-to-end bound report over the wreath group on 2n points: the
+    nested dict that report.json_text prints, in key order.  Exact values
+    are {"exact", "value"} nodes; a quantity the mode does not compute is
+    None."""
     group = cached_group(f"wreath:{n}")
     M = involution_class(group)
     bad = build_bad_set(group, M, rule)
@@ -526,83 +398,126 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     d_val = delta(bad)
     weak_b = weak_tv_bound(bad, k)
     exp_b = expectation_tv_bound(bad, k)
-    full_undefined = False
     try:
         full_b = full_tvd_bound(bad, k)
     except BoundUndefinedError:
         full_b = None
-        full_undefined = True
 
     weak_x = exact_weak_tv(group, M, k)
-    rule_name = rule if isinstance(rule, str) else "explicit"
-
-    exact_ok = len(labels) ** k <= EXACT_TUPLE_CAP and n <= 3
-
-    flags = {
-        "weak_tv": weak_b >= weak_x,
-    }
-    quantiles = None
+    exact = dict.fromkeys((
+        "weak_tv", "expectation_tv_max", "expectation_tv_mean", "full_tv_max",
+        "full_tv_mean", "full_tv_weak_weighted_mean", "expected_variance_max",
+        "expectation_deviation_max", "zero_rank_mass"))
+    exact["weak_tv"] = _frac(weak_x)
+    flags = {"weak_tv": weak_b >= weak_x}
     reps = group_irreps(group)
     control = _control_tv(group, reps, k, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:
-        cutoff_ok = lambda_cutoff_holds(bad, n)
-        flags["lambda_cutoff"] = cutoff_ok
+        cutoff_ok = flags["lambda_cutoff"] = lambda_cutoff_holds(bad, n)
 
-    if exact_ok:
+    if len(labels) ** k <= EXACT_TUPLE_CAP and n <= 3:
         stats = exact_enumeration(
             group, M, k, seed, trials, tensor_cap, threads, reps
         )
-        exp_max = max(stats.expectation_tv)
-        exp_mean = kahan_sum(stats.expectation_tv) / trials
-        full_max = max(stats.full_tv)
-        full_mean = kahan_sum(stats.full_tv) / trials
-        full_h_mean = kahan_sum(stats.full_tv_weak_weighted) / trials
-        var_max = max(stats.expected_variance)
-        dev_max = max(stats.expectation_deviation)
-        quantiles = _quantiles(stats.triple_values, stats.triple_weights)
-        flags["expectation_tv"] = float(exp_b) >= exp_max - TOL
-        if not full_undefined:
-            flags["full_tvd"] = full_b >= full_max - TOL
-        flags["expected_variance"] = float(d_val) >= var_max - TOL
-        flags["expectation_deviation"] = (
-            float(bad.lambda_value + bad.plancherel_mass) >= dev_max - TOL
+        exact.update(
+            expectation_tv_max=max(stats.expectation_tv),
+            expectation_tv_mean=kahan_sum(stats.expectation_tv) / trials,
+            full_tv_max=max(stats.full_tv),
+            full_tv_mean=kahan_sum(stats.full_tv) / trials,
+            full_tv_weak_weighted_mean=kahan_sum(stats.full_tv_weak_weighted) / trials,
+            expected_variance_max=max(stats.expected_variance),
+            expectation_deviation_max=max(stats.expectation_deviation),
+            zero_rank_mass=_frac(stats.zero_rank_mass),
         )
-        zero_mass = stats.zero_rank_mass
+        quantiles = _quantiles(stats.triple_values, stats.triple_weights)
+        flags["expectation_tv"] = float(exp_b) >= exact["expectation_tv_max"] - TOL
+        if full_b is not None:
+            flags["full_tvd"] = full_b >= exact["full_tv_max"] - TOL
+        flags["expected_variance"] = (
+            float(d_val) >= exact["expected_variance_max"] - TOL
+        )
+        flags["expectation_deviation"] = (
+            float(bad.lambda_value + bad.plancherel_mass)
+            >= exact["expectation_deviation_max"] - TOL
+        )
         mode = "exact"
     else:
-        sampled = sampled_enumeration(
+        values = sampled_enumeration(
             group, M, k, seed, trials, tensor_cap, reps
         )
-        vals = np.array(sampled.values)
-        quantiles = _quantiles(vals, np.ones_like(vals))
-        exp_max = exp_mean = None
-        full_max = None
-        full_mean = float(vals.mean())
-        full_h_mean = None
-        var_max = dev_max = None
-        zero_mass = None
-        if not full_undefined:
-            flags["full_tvd_sampled_mean"] = full_b >= full_mean - TOL
+        quantiles = _quantiles(values, np.ones_like(values))
+        exact["full_tv_mean"] = float(values.mean())
+        if full_b is not None:
+            flags["full_tvd_sampled_mean"] = full_b >= exact["full_tv_mean"] - TOL
         mode = "sampled"
 
-    return BoundReport(
-        group_spec=group.spec, n=n, k=k, mode=mode, seed=seed, trials=trials,
-        class_descriptor=str(M.representative), class_size=M.size,
-        rule=rule_name, bad_labels=bad.label_strings(),
-        lambda_value=bad.lambda_value,
-        lambda_complement_empty=bad.complement_empty,
-        plancherel_mass=bad.plancherel_mass,
-        sum_dims=sum_of_dimensions(group),
-        delta_value=d_val, delta_alt_value=delta_alt(bad),
-        weak_bound=weak_b, weak_exact=weak_x,
-        expectation_bound=exp_b,
-        full_bound=full_b, full_bound_undefined=full_undefined,
-        expectation_exact_max=exp_max, expectation_exact_mean=exp_mean,
-        full_exact_max=full_max, full_exact_mean=full_mean,
-        full_exact_weak_weighted_mean=full_h_mean,
-        expected_variance_max=var_max, expectation_deviation_max=dev_max,
-        zero_rank_mass=zero_mass, quantiles=quantiles,
-        control_tv=control, lambda_cutoff_ok=cutoff_ok, flags=flags,
-    )
+    return {
+        "report": "bounds",
+        "group": group.spec,
+        "n": n,
+        "k": k,
+        "mode": mode,
+        "seed": seed,
+        "trials": trials,
+        "involution_class": {
+            "descriptor": str(M.representative),
+            "size": M.size,
+        },
+        "bad_set": {
+            "rule": rule if isinstance(rule, str) else "explicit",
+            "labels": list(bad.label_strings()),
+            "lambda": _frac(bad.lambda_value),
+            "lambda_complement_empty": bad.complement_empty,
+            "plancherel_mass": _frac(bad.plancherel_mass),
+        },
+        "sum_dims": sum_of_dimensions(group),
+        "delta": _frac(d_val),
+        "delta_alt": _frac(delta_alt(bad)),
+        "bounds": {
+            "weak_tv": _frac(weak_b),
+            "expectation_tv": _frac(exp_b),
+            "full_tvd": full_b,
+            "full_tvd_undefined": full_b is None,
+        },
+        "exact": exact,
+        "quantiles": quantiles,
+        "control_trivial_tv": control,
+        "lambda_cutoff_ok": cutoff_ok,
+        "flags": flags,
+        "all_pass": all(flags.values()),
+    }
+
+
+# CSV column -> "."-separated key path into the report, in column order;
+# one flag_<name> column per flag follows
+_CSV_COLUMNS = (
+    ("group", "group"), ("n", "n"), ("k", "k"), ("mode", "mode"),
+    ("seed", "seed"), ("trials", "trials"),
+    ("class", "involution_class.descriptor"), ("rule", "bad_set.rule"),
+    ("lambda", "bad_set.lambda"), ("plancherel_mass", "bad_set.plancherel_mass"),
+    ("delta", "delta"), ("delta_alt", "delta_alt"),
+    ("weak_bound", "bounds.weak_tv"), ("weak_exact", "exact.weak_tv"),
+    ("expectation_bound", "bounds.expectation_tv"),
+    ("expectation_exact_max", "exact.expectation_tv_max"),
+    ("full_bound", "bounds.full_tvd"), ("full_exact_max", "exact.full_tv_max"),
+    ("expected_variance_max", "exact.expected_variance_max"),
+    ("zero_rank_mass", "exact.zero_rank_mass"),
+    ("control_trivial_tv", "control_trivial_tv"), ("all_pass", "all_pass"),
+)
+
+
+def csv_row(report: dict) -> dict:
+    """The report's one CSV row: an exact node gives its float value, None
+    a blank cell."""
+    row = {}
+    for column, path in _CSV_COLUMNS:
+        node = report
+        for key in path.split("."):
+            node = node[key]
+        if isinstance(node, dict):
+            node = node["value"]
+        row[column] = "" if node is None else node
+    row.update(("flag_" + name, ok) for name, ok in report["flags"].items())
+    return row

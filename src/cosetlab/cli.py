@@ -161,7 +161,7 @@ def _basis_for(args, dim: int, *stream) -> MeasurementBasis:
     return MeasurementBasis.haar(dim, CounterRng(args.seed, "cli", *stream))
 
 
-def _dist_csv_rows(dist) -> list[dict]:
+def _dist_rows(dist) -> list[dict]:
     rows = []
     exact = dist.exact_values() if dist.exact else None
     floats = dist.values()
@@ -253,7 +253,7 @@ def cmd_sample(args) -> int:
         payload = _tuple_report(group, hidden, args)
         dist = None
     if args.format == "csv":
-        rows = (_dist_csv_rows(dist) if dist is not None
+        rows = (_dist_rows(dist) if dist is not None
                 else [_tuple_csv_row(entry) for entry in payload["entries"]])
         emit(csv_text(rows), args.out)
     else:
@@ -338,7 +338,7 @@ def _register_trials(args, irreps_of, lemma, doubled=True):
     of the first irrep when they exceed the tensor cap, and a unit vector
     from that stream's "vec" sub-stream, and yields (t, rng, registers, b).
     With doubled, a trial whose doubled dimension D^2 exceeds the tensor
-    cap is skipped."""
+    cap is skipped, with one line on stderr."""
     def trials(group):
         reps = irreps_of(group)
         for t in range(args.trials):
@@ -348,6 +348,9 @@ def _register_trials(args, irreps_of, lemma, doubled=True):
                 tup = (reps[0],) * args.k
             regs = RegisterTuple(tup, tensor_cap=args.tensor_cap)
             if doubled and regs.total_dim ** 2 > args.tensor_cap:
+                print(f"skip {lemma} {group.spec} k={args.k} trial={t}: doubled "
+                      f"dimension {regs.total_dim ** 2} exceeds tensor cap "
+                      f"{args.tensor_cap}", file=sys.stderr)
                 continue
             yield t, rng, regs, rng.sub("vec").unit_vector(regs.total_dim)
 
@@ -608,26 +611,26 @@ def cmd_verify(args) -> int:
 
 def cmd_bounds(args) -> int:
     _require_counts(args, "k", "trials", "threads")
-    if args.lambda_all and args.labels:
+    if args.lambda_all and args.labels is not None:
         raise UsageError("--lambda-all and --labels are mutually exclusive")
     rule = bounds_mod.CUTOFF_RULE
     if args.lambda_all:
         rule = "empty"
-    elif args.labels:
+    elif args.labels is not None:
         rule = [s.strip() for s in args.labels.split(";")]
     report = bounds_mod.theorem_pipeline(
         args.n, args.k, seed=args.seed, trials=args.trials, rule=rule,
         tensor_cap=args.tensor_cap, threads=args.threads,
     )
-    if args.full_tvd and report.full_bound_undefined:
+    if args.full_tvd and report["bounds"]["full_tvd_undefined"]:
         print("full bound undefined: the largest normalized character outside "
               "the bad set is >= 1", file=sys.stderr)
         return EXIT_RESOURCE
     if args.format == "csv":
-        emit(csv_text(report.csv_rows()), args.out)
+        emit(csv_text([bounds_mod.csv_row(report)]), args.out)
     else:
-        emit(json_text(report.to_json_dict()), args.out)
-    return EXIT_OK if report.all_pass else EXIT_FAIL
+        emit(json_text(report), args.out)
+    return EXIT_OK if report["all_pass"] else EXIT_FAIL
 
 
 # ---------------------------------------------------------------------------

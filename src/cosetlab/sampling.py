@@ -493,7 +493,6 @@ class InterferenceMoments:
     expectation: float
     variance: float
     variance_bound: float
-    subset_terms: dict
     doubled_terms: dict
 
 
@@ -509,18 +508,17 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     """
     k = registers.k
     subs = subsets(k, nonempty=True)
-    subset_terms = {s: subset_expectation(registers, b, s, M) for s in subs}
+    lin = sum(subset_expectation(registers, b, s, M) for s in subs)
     doubled_terms = {
         (s1, s2): _class_average(registers, M, masses) for s1 in subs
         for s2, masses in zip(subs, doubled_isotypic_masses(registers, s1, subs, b))
     }
-    lin = sum(subset_terms.values())
     raw = sum(doubled_terms.values())
     mean = (1.0 + lin) / 2 ** k
     bound = raw / 4 ** k
     variance = (raw - lin * lin) / 4 ** k
     return InterferenceMoments(
-        float(mean), float(variance), float(bound), subset_terms, doubled_terms
+        float(mean), float(variance), float(bound), doubled_terms
     )
 
 

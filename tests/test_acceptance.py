@@ -240,12 +240,12 @@ def test_criterion_07_expected_decomposition_exact():
 def test_criterion_08_bound_chain_dominates():
     for n, k in itertools.product((2, 3), (1, 2)):
         report = bounds.theorem_pipeline(n, k, seed=5, trials=6)
-        assert report.mode == "exact"
-        assert report.flags["weak_tv"]
-        assert report.flags["expectation_tv"]
-        assert report.flags["full_tvd"]
-        assert report.flags["expected_variance"]
-        assert report.all_pass, report.flags
+        assert report["mode"] == "exact"
+        assert report["flags"]["weak_tv"]
+        assert report["flags"]["expectation_tv"]
+        assert report["flags"]["full_tvd"]
+        assert report["flags"]["expected_variance"]
+        assert report["all_pass"], report["flags"]
     for n in (2, 3, 4):
         group = cached_group(f"wreath:{n}")
         M = involution_class(group)

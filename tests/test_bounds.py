@@ -307,7 +307,7 @@ def test_the_control_builds_no_basis(monkeypatch):
     monkeypatch.setattr(CounterRng, "haar_basis", counting)
     k, trials = 2, 2
     report = bounds.theorem_pipeline(3, k, trials=trials)
-    assert report.mode == "exact" and report.control_tv == 0.0
+    assert report["mode"] == "exact" and report["control_trivial_tv"] == 0.0
     assert len(built) == useful ** k * trials
 
 
@@ -361,63 +361,109 @@ def test_pipeline_frees_its_stacks_before_the_enumeration_builds_more(monkeypatc
 
 def test_pipeline_wreath2_k1_all_pass():
     rep = bounds.theorem_pipeline(2, 1, seed=3, trials=8)
-    assert rep.mode == "exact"
-    assert rep.all_pass
-    assert rep.zero_rank_mass == Fraction(1, 4)
-    assert rep.control_tv == 0.0
-    assert rep.lambda_cutoff_ok
-    assert rep.weak_exact == Fraction(1, 2)
-    assert rep.full_bound == pytest.approx(2 * math.sqrt(3) + 3)
-    assert rep.quantiles["max"] <= 2.0 + 1e-12
+    assert rep["mode"] == "exact"
+    assert rep["all_pass"]
+    assert rep["exact"]["zero_rank_mass"]["exact"] == "1/4"
+    assert rep["control_trivial_tv"] == 0.0
+    assert rep["lambda_cutoff_ok"]
+    assert rep["exact"]["weak_tv"]["exact"] == "1/2"
+    assert rep["bounds"]["full_tvd"] == pytest.approx(2 * math.sqrt(3) + 3)
+    assert rep["quantiles"]["max"] <= 2.0 + 1e-12
 
 
 def test_pipeline_wreath2_k2_all_pass():
     rep = bounds.theorem_pipeline(2, 2, seed=1, trials=5)
-    assert rep.mode == "exact"
-    assert rep.all_pass
-    assert rep.zero_rank_mass == Fraction(7, 16)
+    assert rep["mode"] == "exact"
+    assert rep["all_pass"]
+    assert rep["exact"]["zero_rank_mass"]["exact"] == "7/16"
 
 
 def test_pipeline_wreath3_all_pass():
     rep = bounds.theorem_pipeline(3, 1, seed=7, trials=4)
-    assert rep.mode == "exact"
-    assert rep.all_pass
-    assert rep.lambda_value == Fraction(1, 2)
+    assert rep["mode"] == "exact"
+    assert rep["all_pass"]
+    assert rep["bad_set"]["lambda"]["exact"] == "1/2"
 
 
 def test_pipeline_sampled_mode_wreath4():
     rep = bounds.theorem_pipeline(4, 1, seed=5, trials=3)
-    assert rep.mode == "sampled"
-    assert rep.expectation_exact_max is None
-    assert rep.full_exact_max is None
-    assert rep.zero_rank_mass is None
-    assert "full_tvd_sampled_mean" in rep.flags
-    assert rep.all_pass
+    assert rep["mode"] == "sampled"
+    assert rep["exact"]["expectation_tv_max"] is None
+    assert rep["exact"]["full_tv_max"] is None
+    assert rep["exact"]["zero_rank_mass"] is None
+    assert "full_tvd_sampled_mean" in rep["flags"]
+    assert rep["all_pass"]
 
 
 def test_pipeline_undefined_full_bound_still_reports():
     rep = bounds.theorem_pipeline(2, 1, seed=2, trials=3, rule="empty")
-    assert rep.full_bound is None
-    assert rep.full_bound_undefined
-    assert "full_tvd" not in rep.flags
+    assert rep["bounds"]["full_tvd"] is None
+    assert rep["bounds"]["full_tvd_undefined"]
+    assert "full_tvd" not in rep["flags"]
     # weak bound 2k(1+0) = 2 still dominates
-    assert rep.flags["weak_tv"]
+    assert rep["flags"]["weak_tv"]
 
 
 def test_pipeline_reports_byte_identical():
-    a = json_text(bounds.theorem_pipeline(3, 2, seed=11, trials=3, threads=1).to_json_dict())
-    b = json_text(bounds.theorem_pipeline(3, 2, seed=11, trials=3, threads=4).to_json_dict())
+    a = json_text(bounds.theorem_pipeline(3, 2, seed=11, trials=3, threads=1))
+    b = json_text(bounds.theorem_pipeline(3, 2, seed=11, trials=3, threads=4))
     assert a == b
-    c = json_text(bounds.theorem_pipeline(3, 2, seed=12, trials=3).to_json_dict())
+    c = json_text(bounds.theorem_pipeline(3, 2, seed=12, trials=3))
     assert a != c
 
 
+# the CSV columns before the flag columns, with the report key path each reads
+_CSV_PATHS = {
+    "group": ("group",), "n": ("n",), "k": ("k",), "mode": ("mode",),
+    "seed": ("seed",), "trials": ("trials",),
+    "class": ("involution_class", "descriptor"), "rule": ("bad_set", "rule"),
+    "lambda": ("bad_set", "lambda"),
+    "plancherel_mass": ("bad_set", "plancherel_mass"),
+    "delta": ("delta",), "delta_alt": ("delta_alt",),
+    "weak_bound": ("bounds", "weak_tv"), "weak_exact": ("exact", "weak_tv"),
+    "expectation_bound": ("bounds", "expectation_tv"),
+    "expectation_exact_max": ("exact", "expectation_tv_max"),
+    "full_bound": ("bounds", "full_tvd"), "full_exact_max": ("exact", "full_tv_max"),
+    "expected_variance_max": ("exact", "expected_variance_max"),
+    "zero_rank_mass": ("exact", "zero_rank_mass"),
+    "control_trivial_tv": ("control_trivial_tv",), "all_pass": ("all_pass",),
+}
+
+
 def test_report_csv_row():
+    import csv
+    import io
+    import json
+
     from cosetlab.report import csv_text
 
-    rep = bounds.theorem_pipeline(2, 1, seed=3, trials=2)
-    text = csv_text(rep.csv_rows())
-    lines = text.strip().split("\r\n")
-    assert len(lines) == 2
-    assert lines[0].startswith("group,")
-    assert "wreath:2" in lines[1]
+    # exact mode with the paper rule has 29 columns, sampled mode 26
+    cases = (
+        (2, 2, ["weak_tv", "control_trivial", "lambda_cutoff", "expectation_tv",
+                "full_tvd", "expected_variance", "expectation_deviation"], 29),
+        (4, 3, ["weak_tv", "control_trivial", "lambda_cutoff",
+                "full_tvd_sampled_mean"], 26),
+    )
+    for n, trials, flags, width in cases:
+        rep = bounds.theorem_pipeline(n, 1, seed=3, trials=trials)
+        text = csv_text([bounds.csv_row(rep)])
+        lines = text.split("\r\n")
+        assert len(lines) == 3 and lines[2] == ""
+        header = [*_CSV_PATHS, *("flag_" + f for f in flags)]
+        assert lines[0] == ",".join(header) and len(header) == width
+        (row,) = csv.DictReader(io.StringIO(text))
+        doc = json.loads(json_text(rep))
+        for column, path in _CSV_PATHS.items():
+            node = doc
+            for key in path:
+                node = node[key]
+            if node is None:
+                assert row[column] == ""
+            elif isinstance(node, dict):
+                # the float of the exact value, as the CSV has always written it
+                assert float(row[column]) == float(Fraction(node["exact"])) == node["value"]
+                assert row[column] == str(node["value"])
+            else:
+                assert row[column] == str(node)
+        for f in flags:
+            assert row["flag_" + f] == str(doc["flags"][f])

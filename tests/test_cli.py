@@ -342,6 +342,16 @@ def test_bounds_explicit_labels(capsys):
     assert d["bad_set"]["plancherel_mass"]["exact"] == "1/2"
 
 
+@pytest.mark.parametrize("labels", ["", ";"], ids=repr)
+def test_an_empty_bad_set_label_is_a_usage_error(capsys, labels):
+    assert main(["bounds", "--n", "2", "--k", "1", "--labels", labels]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: cannot parse irrep label ''\n"
+    assert main(["bounds", "--n", "2", "--lambda-all", "--labels", labels]) == 2
+    assert "mutually exclusive" in capsys.readouterr().err
+
+
 def test_bounds_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["bounds", "--n", "2", "--k", "1", "--trials", "3",
@@ -360,6 +370,24 @@ def test_reports_byte_identical_across_threads(tmp_path, capsys):
                      "--out", str(p)]) == 0
         paths.append(p.read_bytes())
     assert paths[0] == paths[1] == paths[2]
+
+
+def test_verify_names_each_skipped_trial_on_stderr(capsys):
+    # at wreath:3, k=3 trials 0-2 draw a doubled dimension D^2 above 1000
+    assert main(["verify", "--lemma", "multiregister", "--group", "wreath:3",
+                 "--k", "3", "--trials", "6", "--tensor-cap", "1000"]) == 0
+    out, err = capsys.readouterr()
+    # the report is unchanged: it lists the trials that ran, and nothing else
+    d = json.loads(out)
+    assert [r["name"] for r in d["results"]] == [
+        f"multiregister {what} wreath:3 k=3 trial={t}" for t in (3, 4, 5)
+        for what in ("mean", "variance", "variance bound")
+    ]
+    assert d["trials"] == 6 and d["pass_count"] == 9
+    assert err.splitlines() == [
+        f"skip multiregister wreath:3 k=3 trial={t}: doubled dimension {dd} "
+        "exceeds tensor cap 1000" for t, dd in ((0, 4096), (1, 4096), (2, 1024))
+    ]
 
 
 def test_verify_byte_identical(tmp_path, capsys):

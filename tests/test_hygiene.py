@@ -1,7 +1,8 @@
 """Source hygiene: every imported name is used by the module importing it,
 every private helper of the package is used somewhere in it, every public
-function or method of the package is used somewhere in the repo, and every
-defaulted parameter of the package is set by some call in the repo."""
+function or method of the package is used somewhere in the repo, every
+defaulted parameter of the package is set by some call in the repo, and
+every dataclass field of the package is read somewhere in the repo."""
 
 import ast
 from collections import Counter
@@ -350,4 +351,69 @@ def test_the_scan_sees_an_unset_default():
     assert unset_defaults(package, trees) == [
         "a.py:1: f(flag)", "a.py:1: f(unused)", "a.py:9: never(y)",
         "a.py:12: Box(color)", "a.py:14: grow(limit)", "a.py:20: Small(size)",
+    ]
+
+
+def _is_dataclass(decorator) -> bool:
+    """@dataclass, @dataclass(...) or @dataclasses.dataclass(...)."""
+    node = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(node, "id", getattr(node, "attr", None)) == "dataclass"
+
+
+def unread_dataclass_fields(package: dict, trees: dict) -> list[str]:
+    """Annotated fields of the dataclasses in package whose name no module
+    of trees reads as an attribute (x.name in a load context).  Names are
+    matched module-blind, so a field sharing its name with a read
+    attribute passes."""
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return [
+        f"{module}:{stmt.lineno}: {cls.name}.{stmt.target.id}"
+        for module, tree in package.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and any(map(_is_dataclass, cls.decorator_list))
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
+def test_every_dataclass_field_is_read():
+    trees = {f"{path.parent.name}/{path.name}": ast.parse(path.read_text(), str(path))
+             for path in REPO}
+    package = {name: tree for name, tree in trees.items() if name.startswith("cosetlab/")}
+    assert unread_dataclass_fields(package, trees) == []
+
+
+def test_the_scan_sees_an_unread_dataclass_field():
+    package = {
+        "a.py": ast.parse(
+            "import dataclasses\n"
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\n"
+            "class Stats:\n"
+            "    values: tuple\n"
+            "    hits: int\n"
+            "    def __post_init__(self):\n"
+            "        assert self.values\n"
+            "@dataclasses.dataclass\n"
+            "class Box:\n"
+            "    size: int\n"
+            "    color: str = 'red'\n"
+            "class Plain:\n"
+            "    weight: int\n"
+        ),
+    }
+    # Stats.values is read in its own class and Box.size in a test; a
+    # store (box.color = ...) is not a read; Plain is not a dataclass
+    trees = {
+        **package,
+        "test_a.py": ast.parse(
+            "from a import Box\n"
+            "box = Box(1)\n"
+            "box.color = 'blue'\n"
+            "print(box.size)\n"
+        ),
+    }
+    assert unread_dataclass_fields(package, trees) == [
+        "a.py:6: Stats.hits", "a.py:12: Box.color",
     ]
