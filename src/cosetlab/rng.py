@@ -1,9 +1,9 @@
 """Deterministic counter-based randomness.
 
 Every random quantity in the package is a pure function of (seed, stream
-path, counter), so runs replay byte-identically regardless of evaluation
-order or thread count.  The generator is written out here so that any
-language can reproduce the streams; no library generator is involved.
+path, counter), so runs replay byte-identically whatever the evaluation
+order, --threads value or BLAS thread count.  The generator is written out
+here so any language can reproduce the streams; no library generator is used.
 
 64-bit state mixing (all arithmetic mod 2^64):
 
@@ -28,7 +28,8 @@ Gaussians come in pairs from the polar form
     g(2j+1) = sqrt(-2 ln float_pos(2j)) * sin(2 pi float01(2j+1)),
 complex entries are (g(2m) + i g(2m+1)) / sqrt(2) in row-major order, and a
 Haar basis is the modified Gram-Schmidt orthonormalization (columns in
-order, positive real normalizers) of a square complex Gaussian matrix.
+order, positive real normalizers) of a square complex Gaussian matrix, run
+right-looking with einsum inner products, never a threaded BLAS call.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import RepresentationDefectError
 
 _MASK = (1 << 64) - 1
 _WEYL = 0x9E3779B97F4A7C15
@@ -150,27 +153,24 @@ class CounterRng:
         return z / np.linalg.norm(z)
 
     def haar_basis(self, d: int) -> np.ndarray:
-        """A (d, d) unitary whose columns are the basis vectors.
-
-        Modified Gram-Schmidt on a complex Gaussian matrix; normalizers are
-        positive reals, which fixes the phase ambiguity and makes the result
-        unique, hence replayable.
+        """A (d, d) unitary whose columns are the basis vectors: right-looking
+        modified Gram-Schmidt (each normalized column leaves all later ones at
+        once) with positive real normalizers, so unique and replayable.  Einsum
+        projections, never threaded BLAS, keep the bits thread-count independent.
         """
-        a = self.complex_gaussian_matrix(d, d)
-        q = np.zeros((d, d), dtype=np.complex128)
-        # strided column views, so np.vdot keeps BLAS's strided path
-        cols = [q[:, i] for i in range(d)]
-        tmp = np.empty(d, dtype=np.complex128)
-        for j, col in enumerate(cols):
-            v = a[:, j].copy()
-            for c in cols[:j]:
-                np.subtract(v, np.multiply(np.vdot(c, v), c, out=tmp), out=v)
-            nrm = np.linalg.norm(v)
-            assert nrm > 1e-12, "gaussian matrix was numerically singular"
-            np.divide(v, nrm, out=col)
-        return q
+        q = self.complex_gaussian_matrix(d, d).T.copy()  # row j is column j
+        for i, c in enumerate(q):
+            nrm = np.linalg.norm(c)
+            if not nrm > 1e-12:
+                raise RepresentationDefectError(
+                    f"gaussian matrix was numerically singular at column {i} of {d}")
+            c /= nrm
+            rest = q[i + 1:]
+            rest -= np.multiply.outer(np.einsum("ji,i->j", rest, c.conj()), c)
+        return q.T
 
     def index(self, i: int, n: int) -> int:
         """A choice in range(n) from counter i."""
-        assert n > 0
+        if n <= 0:
+            raise ValueError(f"index needs a positive range, got {n}")
         return min(int(self.floats01(i, 1)[0] * n), n - 1)

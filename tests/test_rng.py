@@ -1,9 +1,18 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cosetlab.cli import main
+from cosetlab.errors import RepresentationDefectError
 from cosetlab.rng import CounterRng, derive_stream
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 STREAMS = [(0,), (7, "bounds", 3), (42, "basis", 9), (2**64 + 5, "trial", 2**70)]
 
@@ -108,11 +117,88 @@ def _haar_basis_column_loop(rng, d):
     return q
 
 
+def _haar_basis_right_looking(rng, d):
+    """A literal copy of haar_basis, to pin its bits against edits."""
+    q = rng.complex_gaussian_matrix(d, d).T.copy()
+    for i in range(d):
+        q[i] /= np.linalg.norm(q[i])
+        h = np.einsum("ji,i->j", q[i + 1:], q[i].conj())
+        q[i + 1:] -= np.multiply.outer(h, q[i])
+    return q.T
+
+
 @pytest.mark.parametrize("d", [*range(1, 70), 128, 324])
 def test_haar_basis_has_the_bits_of_the_column_loop(d):
+    # The right-looking loop makes the column loop's projections in the same
+    # order but sums each inner product in another order, so the two agree
+    # to rounding (1.9e-13 at most over these cases); the bits are pinned
+    # against the literal right-looking copy.
     for stream in range(3):
         rng = CounterRng(stream, "haar-bits", d)
-        assert np.array_equal(rng.haar_basis(d), _haar_basis_column_loop(rng, d))
+        q = rng.haar_basis(d)
+        assert q.shape == (d, d) and q.dtype == np.complex128
+        assert np.max(np.abs(q - _haar_basis_column_loop(rng, d))) < 1e-12
+        assert np.array_equal(q, _haar_basis_right_looking(rng, d))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(d=st.integers(1, 48), seed=st.integers(0, 2**64 - 1),
+       path=st.lists(st.one_of(st.integers(0, 2**70), st.text("abcxyz", max_size=9)),
+                     max_size=3))
+def test_haar_basis_is_the_gram_schmidt_factor_of_its_gaussian_matrix(d, seed, path):
+    rng = CounterRng(seed, *path)
+    a = rng.complex_gaussian_matrix(d, d)
+    q = rng.haar_basis(d)
+    assert np.max(np.abs(q.conj().T @ q - np.eye(d))) < 1e-12
+    r = q.conj().T @ a
+    assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+    assert np.all(r.diagonal().real > 0)
+    assert np.max(np.abs(r.diagonal().imag)) < 1e-12
+    assert np.max(np.abs(q - _haar_basis_column_loop(rng, d))) < 1e-12
+
+
+def test_a_singular_gaussian_matrix_is_a_typed_error(monkeypatch, capsys):
+    gaussian = CounterRng.complex_gaussian_matrix
+
+    def rank_deficient(self, rows, cols):
+        # the last column is the sum of the others (zero when d = 1)
+        a = gaussian(self, rows, cols)
+        a[:, -1] = a[:, :-1].sum(axis=1)
+        return a
+
+    monkeypatch.setattr(CounterRng, "complex_gaussian_matrix", rank_deficient)
+    for d in (1, 2, 5):
+        with pytest.raises(RepresentationDefectError, match="numerically singular"):
+            CounterRng(3).haar_basis(d)
+    assert main(["bounds", "--n", "2", "--k", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: gaussian matrix was numerically singular")
+    assert captured.err.count("\n") == 1
+
+
+_THREAD_PROBE = """
+import hashlib, sys
+from cosetlab.cli import main
+from cosetlab.rng import CounterRng
+for d in (64, 128, 324):
+    q = CounterRng(5, "threads", d).haar_basis(d)
+    print(d, hashlib.sha256(q.tobytes()).hexdigest())
+sys.exit(main(["bounds", "--n", "4", "--k", "2", "--trials", "10", "--seed", "2"]))
+"""
+
+
+def test_haar_bits_do_not_depend_on_the_blas_thread_count():
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0].count("\n") > 3
+    assert outs[0] == outs[1]
 
 
 def test_unit_vector():
@@ -140,3 +226,5 @@ def test_index_bounds():
     picks = [r.index(i, 5) for i in range(200)]
     assert set(picks) <= set(range(5))
     assert len(set(picks)) == 5
+    with pytest.raises(ValueError, match="positive range"):
+        r.index(0, 0)
