@@ -57,6 +57,7 @@ from .irreps import (
     parse_label,
 )
 from .parallel import kahan_sum, ordered_map
+from .report import exact_node
 from .rng import CounterRng
 from .sampling import (
     DEFAULT_TENSOR_CAP,
@@ -192,7 +193,7 @@ def exact_weak_tv(group: FiniteGroup, M: ConjugacyClass, k: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Exact enumeration of the bound counterparts
+# The per-tuple kernel and the two enumerations
 
 def _check_tensor_cap(group: FiniteGroup, k: int, tensor_cap: int) -> None:
     """Raise CapExceededError when some k-tuple of irreps exceeds the tensor
@@ -205,30 +206,25 @@ def _check_tensor_cap(group: FiniteGroup, k: int, tensor_cap: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class EnumerationStats:
-    """Per-trial exact expectations over the tuple space (one basis per
-    trial), plus the weighted per-triple distances for quantiles."""
-
-    trials: int
-    zero_rank_mass: Fraction
-    expectation_tv: tuple[float, ...]
-    full_tv: tuple[float, ...]
-    full_tv_weak_weighted: tuple[float, ...]
-    expected_variance: tuple[float, ...]
-    expectation_deviation: tuple[float, ...]
-    triple_weights: np.ndarray
-    triple_values: np.ndarray
+def _label_projectors(group: FiniteGroup, M: ConjugacyClass, reps) -> tuple[list, list]:
+    """Each label's exact weak rank and its (|M|, d, d) stack of Pi_m over
+    the members of M, in label order."""
+    hidden = HiddenSubgroup(group, M.representative)
+    ranks = [weak_rank(group, rep.label, hidden) for rep in reps]
+    members = [group.index(m) for m in M.members]
+    return ranks, [member_projectors(rep, members, r) for rep, r in zip(reps, ranks)]
 
 
 # rows of _tuple_task's per-trial array
 EXP_TV, FULL_TV, VARIANCE, DEVIATION = range(4)
 
 
-def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
-    """One label tuple: a (4, trials) array of expectation TV, full TV,
-    variance and deviation, and the (trials, members) per-triple TVs."""
-    n_m = len(projs[0])
+def _tuple_task(projs, rank_total, streams, k):
+    """One label tuple, measured in one Haar basis per stream: a
+    (4, len(streams)) array of expectation TV, full TV, variance and
+    deviation, and the (len(streams), members) per-triple L1 distances to
+    uniform."""
+    trials, n_m = len(streams), len(projs[0])
     if rank_total == 0:
         # The tuple's projector is 0, so its masses are 0 in every basis:
         # no basis is built, and the values are those of all-zero masses.
@@ -237,9 +233,8 @@ def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
     D = prod(p.shape[-1] for p in projs)
     rows = np.empty((4, trials))
     dists = np.empty((trials, n_m))
-    for t in range(trials):
-        basis = CounterRng(seed, "bases", tuple_idx, t).haar_basis(D)
-        raw = projected_masses(projs, basis)
+    for t, rng in enumerate(streams):
+        raw = projected_masses(projs, rng.haar_basis(D))
         mean_raw = raw.mean(axis=0)
         probs = raw / rank_total
         dists[t] = np.sum(np.abs(probs - 1.0 / D), axis=1)
@@ -250,34 +245,28 @@ def _tuple_task(projs, rank_total, trials, seed, tuple_idx, k):
 
 
 def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
-                      seed: int, trials: int,
-                      tensor_cap: int = DEFAULT_TENSOR_CAP,
-                      threads: int = 1,
-                      reps: tuple | None = None) -> EnumerationStats:
-    """Enumerate every label tuple with its exact Plancherel and H weights;
-    average the per-basis distances with deterministic ordered reduction.
-    reps is the group's group_irreps tuple, built here when not given."""
+                      seed: int, trials: int, reps: tuple,
+                      threads: int = 1) -> tuple[dict, dict]:
+    """Enumerate every label tuple with its exact Plancherel and H weights,
+    in one Haar basis per (tuple, trial), and reduce with deterministic
+    ordered sums.  Returns the exact-mode fields of the report's "exact"
+    section and the quantiles of the per-triple distances.  reps is the
+    group's group_irreps tuple."""
     if trials < 1:
         raise ValueError("need at least one basis trial")
-    labels = irrep_labels(group)
-    if len(labels) ** k > EXACT_TUPLE_CAP:
+    if len(reps) ** k > EXACT_TUPLE_CAP:
         raise CapExceededError(
-            f"{len(labels)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
+            f"{len(reps)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
         )
-    _check_tensor_cap(group, k, tensor_cap)
-    hidden = HiddenSubgroup(group, M.representative)
-    ranks = [weak_rank(group, l, hidden) for l in labels]
-    members = [group.index(m) for m in M.members]
-    if reps is None:
-        reps = group_irreps(group)
-    projs = [member_projectors(rep, members, r) for rep, r in zip(reps, ranks)]
-    tuples = list(itertools.product(range(len(labels)), repeat=k))
+    ranks, projs = _label_projectors(group, M, reps)
 
     def run(args):
         idx, tup = args
+        streams = [CounterRng(seed, "bases", idx, t) for t in range(trials)]
         return _tuple_task([projs[i] for i in tup], prod(ranks[i] for i in tup),
-                           trials, seed, idx, k)
+                           streams, k)
 
+    tuples = itertools.product(range(len(reps)), repeat=k)
     results = ordered_map(run, list(enumerate(tuples)), threads=threads)
     rows = np.stack([r for r, _ in results])  # (tuples, 4, trials)
 
@@ -285,22 +274,28 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     # tuple has H weight 0 exactly when one of its ranks is 0
     total = group.order ** k
     planch = weak_tuple_law(group, HiddenSubgroup(group), k)
-    hlaw = weak_tuple_law(group, hidden, k)
-    zero_rank_mass = Fraction(sum(p for p, h in zip(planch, hlaw) if h == 0), total)
+    hlaw = weak_tuple_law(group, HiddenSubgroup(group, M.representative), k)
     weights_p = np.array([p / total for p in planch])
     weights_h = np.array([h / total for h in hlaw])
 
-    def combine(which, weights):
-        return tuple(kahan_sum(weights * rows[:, which, t]) for t in range(trials))
+    def per_trial(which, weights=weights_p):
+        return [kahan_sum(weights * rows[:, which, t]) for t in range(trials)]
 
+    exp_tv, full_tv = per_trial(EXP_TV), per_trial(FULL_TV)
     per_triple = M.size * trials
-    return EnumerationStats(
-        trials, zero_rank_mass, combine(EXP_TV, weights_p), combine(FULL_TV, weights_p),
-        combine(FULL_TV, weights_h), combine(VARIANCE, weights_p),
-        combine(DEVIATION, weights_p),
-        np.repeat(weights_p / per_triple, per_triple),
-        np.stack([d for _, d in results]).reshape(-1),
-    )
+    fields = {
+        "expectation_tv_max": max(exp_tv),
+        "expectation_tv_mean": kahan_sum(exp_tv) / trials,
+        "full_tv_max": max(full_tv),
+        "full_tv_mean": kahan_sum(full_tv) / trials,
+        "full_tv_weak_weighted_mean": kahan_sum(per_trial(FULL_TV, weights_h)) / trials,
+        "expected_variance_max": max(per_trial(VARIANCE)),
+        "expectation_deviation_max": max(per_trial(DEVIATION)),
+        "zero_rank_mass": exact_node(
+            Fraction(sum(p for p, h in zip(planch, hlaw) if h == 0), total)),
+    }
+    return fields, _quantiles(np.stack([d for _, d in results]).reshape(-1),
+                              np.repeat(weights_p / per_triple, per_triple))
 
 
 def _quantiles(values, weights) -> dict:
@@ -321,53 +316,30 @@ def weighted_quantile(values, weights, q: float) -> float:
     return float(vals[idx])
 
 
-# ---------------------------------------------------------------------------
-# Sampled mode (tuple space too large to enumerate)
-
 def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
-                        seed: int, trials: int,
-                        tensor_cap: int = DEFAULT_TENSOR_CAP,
-                        reps: tuple | None = None) -> np.ndarray:
-    """Monte Carlo over (tuple, m, basis) triples: tuple per-register from
-    the Plancherel measure, m uniform in M, basis Haar-seeded.  Returns the
-    (trials,) per-triple L1 distances to uniform (pessimal 2 on zero-rank
-    tuples).  reps is the group's group_irreps tuple, built here when not
-    given."""
-    _check_tensor_cap(group, k, tensor_cap)
-    labels = irrep_labels(group)
-    if reps is None:
-        reps = group_irreps(group)
-    hidden = HiddenSubgroup(group, M.representative)
+                        seed: int, trials: int, reps: tuple) -> np.ndarray:
+    """Monte Carlo over (tuple, m, basis) triples, for tuple spaces too large
+    to enumerate: tuple per-register from the Plancherel measure, m uniform
+    in M, basis Haar-seeded.  Returns the (trials,) per-triple L1 distances
+    to uniform (pessimal 2 on zero-rank tuples).  reps is the group's
+    group_irreps tuple."""
+    ranks, projs = _label_projectors(group, M, reps)
     planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
     cum = np.cumsum([p / group.order for p in planch])
-    ranks = [weak_rank(group, l, hidden) for l in labels]
-    values = np.full(trials, PESSIMAL_TV)
+    values = np.empty(trials)
     for t in range(trials):
         rng = CounterRng(seed, "sampled", t)
-        picks = rng.floats01(0, k)
-        tup = [
-            min(int(np.searchsorted(cum, u, side="right")), len(labels) - 1)
-            for u in picks
-        ]
-        D = prod(reps[i].dim for i in tup)
-        rank_total = prod(ranks[i] for i in tup)
-        m = group.index(M.members[rng.index(k, M.size)])
-        if rank_total == 0:
-            continue
-        basis = rng.sub("basis").haar_basis(D)
-        projs = [member_projectors(reps[i], [m], ranks[i]) for i in tup]
-        probs = projected_masses(projs, basis)[0] / rank_total
-        values[t] = np.sum(np.abs(probs - 1.0 / D))
+        tup = [min(int(np.searchsorted(cum, u, side="right")), len(reps) - 1)
+               for u in rng.floats01(0, k)]
+        w = rng.index(k, M.size)
+        _, dists = _tuple_task([projs[i][w:w + 1] for i in tup],
+                               prod(ranks[i] for i in tup), [rng.sub("basis")], k)
+        values[t] = dists[0, 0]
     return values
 
 
 # ---------------------------------------------------------------------------
 # The assembled pipeline
-
-def _frac(x) -> dict | None:
-    """An exact value as the report prints it, or None."""
-    return None if x is None else {"exact": str(x), "value": float(x)}
-
 
 def _control_tv(group, reps, k, tensor_cap) -> float:
     """Trivial-subgroup control: the multiregister distribution must be
@@ -393,7 +365,6 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     M = involution_class(group)
     bad = build_bad_set(group, M, rule)
     _check_tensor_cap(group, k, tensor_cap)
-    labels = irrep_labels(group)
 
     d_val = delta(bad)
     weak_b = weak_tv_bound(bad, k)
@@ -408,7 +379,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "weak_tv", "expectation_tv_max", "expectation_tv_mean", "full_tv_max",
         "full_tv_mean", "full_tv_weak_weighted_mean", "expected_variance_max",
         "expectation_deviation_max", "zero_rank_mass"))
-    exact["weak_tv"] = _frac(weak_x)
+    exact["weak_tv"] = exact_node(weak_x)
     flags = {"weak_tv": weak_b >= weak_x}
     reps = group_irreps(group)
     control = _control_tv(group, reps, k, tensor_cap)
@@ -417,41 +388,28 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     if rule == CUTOFF_RULE:
         cutoff_ok = flags["lambda_cutoff"] = lambda_cutoff_holds(bad, n)
 
-    if len(labels) ** k <= EXACT_TUPLE_CAP and n <= 3:
-        stats = exact_enumeration(
-            group, M, k, seed, trials, tensor_cap, threads, reps
-        )
-        exact.update(
-            expectation_tv_max=max(stats.expectation_tv),
-            expectation_tv_mean=kahan_sum(stats.expectation_tv) / trials,
-            full_tv_max=max(stats.full_tv),
-            full_tv_mean=kahan_sum(stats.full_tv) / trials,
-            full_tv_weak_weighted_mean=kahan_sum(stats.full_tv_weak_weighted) / trials,
-            expected_variance_max=max(stats.expected_variance),
-            expectation_deviation_max=max(stats.expectation_deviation),
-            zero_rank_mass=_frac(stats.zero_rank_mass),
-        )
-        quantiles = _quantiles(stats.triple_values, stats.triple_weights)
-        flags["expectation_tv"] = float(exp_b) >= exact["expectation_tv_max"] - TOL
-        if full_b is not None:
-            flags["full_tvd"] = full_b >= exact["full_tv_max"] - TOL
-        flags["expected_variance"] = (
-            float(d_val) >= exact["expected_variance_max"] - TOL
-        )
-        flags["expectation_deviation"] = (
-            float(bad.lambda_value + bad.plancherel_mass)
-            >= exact["expectation_deviation_max"] - TOL
-        )
+    if len(reps) ** k <= EXACT_TUPLE_CAP and n <= 3:
         mode = "exact"
+        fields, quantiles = exact_enumeration(group, M, k, seed, trials, reps, threads)
     else:
-        values = sampled_enumeration(
-            group, M, k, seed, trials, tensor_cap, reps
-        )
-        quantiles = _quantiles(values, np.ones_like(values))
-        exact["full_tv_mean"] = float(values.mean())
-        if full_b is not None:
-            flags["full_tvd_sampled_mean"] = full_b >= exact["full_tv_mean"] - TOL
         mode = "sampled"
+        values = sampled_enumeration(group, M, k, seed, trials, reps)
+        fields = {"full_tv_mean": float(values.mean())}
+        quantiles = _quantiles(values, np.ones_like(values))
+    exact.update(fields)
+    # (mode, flag, bound, the "exact" key the bound must dominate); the
+    # mode's links with a defined bound become flags, in this order
+    links = (
+        ("exact", "expectation_tv", exp_b, "expectation_tv_max"),
+        ("exact", "full_tvd", full_b, "full_tv_max"),
+        ("exact", "expected_variance", d_val, "expected_variance_max"),
+        ("exact", "expectation_deviation", bad.lambda_value + bad.plancherel_mass,
+         "expectation_deviation_max"),
+        ("sampled", "full_tvd_sampled_mean", full_b, "full_tv_mean"),
+    )
+    flags.update((flag, float(bound) >= exact[key] - TOL)
+                 for link_mode, flag, bound, key in links
+                 if link_mode == mode and bound is not None)
 
     return {
         "report": "bounds",
@@ -468,16 +426,16 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "bad_set": {
             "rule": rule if isinstance(rule, str) else "explicit",
             "labels": list(bad.label_strings()),
-            "lambda": _frac(bad.lambda_value),
+            "lambda": exact_node(bad.lambda_value),
             "lambda_complement_empty": bad.complement_empty,
-            "plancherel_mass": _frac(bad.plancherel_mass),
+            "plancherel_mass": exact_node(bad.plancherel_mass),
         },
         "sum_dims": sum_of_dimensions(group),
-        "delta": _frac(d_val),
-        "delta_alt": _frac(delta_alt(bad)),
+        "delta": exact_node(d_val),
+        "delta_alt": exact_node(delta_alt(bad)),
         "bounds": {
-            "weak_tv": _frac(weak_b),
-            "expectation_tv": _frac(exp_b),
+            "weak_tv": exact_node(weak_b),
+            "expectation_tv": exact_node(exp_b),
             "full_tvd": full_b,
             "full_tvd_undefined": full_b is None,
         },

@@ -8,7 +8,10 @@ report.
 Exit codes: 0 every check passed; 1 a verification or bound check failed;
 2 usage error (bad flags, unsupported group, malformed element); 3
 precondition or resource error (zero-rank strong measurement, tensor caps,
-a bound that is undefined for the requested parameters).
+a bound that is undefined for the requested parameters, a report that
+cannot be written).  A --out path that names no file, a directory or a
+file in a missing directory is a usage error, found before any group is
+built.
 
 Identical (command line, seed) pairs produce byte-identical output for any
 --threads value; randomness comes only from the documented counter-based
@@ -19,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import itertools
+import os
 import sys
 from fractions import Fraction
 from math import prod
@@ -67,7 +71,7 @@ from .oracle import (
     rebuilt_matrix,
 )
 from .rng import CounterRng
-from .report import csv_text, emit, json_text
+from .report import csv_text, emit, exact_node, json_text
 from .sampling import (
     DEFAULT_TENSOR_CAP,
     HiddenSubgroup,
@@ -200,10 +204,7 @@ def cmd_irreps(args) -> int:
             {
                 "label": name,
                 "dim": d,
-                "plancherel": {
-                    "exact": str(Fraction(d * d, order)),
-                    "value": d ** 2 / order,
-                },
+                "plancherel": exact_node(Fraction(d * d, order)),
                 "characters": row,
             }
             for name, d, row in zip(table.names, dims, table.chi.tolist())
@@ -293,7 +294,7 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
                 zero_rank = True
         entries.append({
             "labels": [names[i] for i in tup],
-            "weak": {"exact": str(prob), "value": float(prob)},
+            "weak": exact_node(prob),
             "zero_rank": zero_rank,
             "conditional": conditional,
         })
@@ -389,7 +390,7 @@ def _lemma_expectation(args, irreps_of) -> list:
             ))
             if args.k > 1:
                 mask = rng.index(100, 2 ** args.k)
-                sub = tuple(i for i in range(args.k) if mask >> i & 1)
+                sub = subsets(args.k)[mask]
                 formula = subset_expectation(regs, b, sub, M)
                 oracle_v = brute_subset_overlap(regs.irreps, b, sub, M)
                 results.append(equality_result(
@@ -406,12 +407,9 @@ def _lemma_second_moment(args, irreps_of) -> list:
         for t, rng, regs, b in trials:
             full = tuple(range(args.k))
             pairs = [(full, full)]
-            m1 = rng.index(200, 2 ** args.k)
-            m2 = rng.index(201, 2 ** args.k)
-            pairs.append((
-                tuple(i for i in range(args.k) if m1 >> i & 1),
-                tuple(i for i in range(args.k) if m2 >> i & 1),
-            ))
+            subs = subsets(args.k)
+            pairs.append((subs[rng.index(200, 2 ** args.k)],
+                          subs[rng.index(201, 2 ** args.k)]))
             for first, second in pairs:
                 formula = doubled_expectation(regs, b, first, second, M)
                 oracle_v = brute_doubled_overlap(regs.irreps, b, first, second, M)
@@ -484,14 +482,7 @@ def _lemma_projector_sum(args, irreps_of) -> list:
 
 def _lemma_induced(args, irreps_of) -> list:
     results = []
-    if args.group:
-        group = cached_group(args.group)
-        if not isinstance(group, WreathGroup) or group.n > 3:
-            raise UsageError("--lemma induced needs a wreath group with n <= 3")
-        ns = [group.n]
-    else:
-        ns = [2, 3]
-    for n in ns:
+    for n in [cached_group(args.group).n] if args.group else [2, 3]:
         group = cached_group(f"wreath:{n}")
         classes = group.conjugacy_classes()
         parts = list(partitions(n))
@@ -553,6 +544,9 @@ def _lemma_expected_decomp(args, irreps_of) -> list:
     return results
 
 
+# the lemmas that measure at the distinguished involution class
+_INVOLUTION_LEMMAS = {"rank", "expectation", "second-moment", "multiregister"}
+
 _LEMMAS = {
     "rank": _lemma_rank,
     "expectation": _lemma_expectation,
@@ -572,6 +566,13 @@ def cmd_verify(args) -> int:
         args.trials = min(args.trials, 10)
     else:
         names = [args.lemma]
+    if args.group:
+        # each chosen lemma's precondition on the group, before any lemma runs
+        group = cached_group(args.group)
+        if "induced" in names and not (isinstance(group, WreathGroup) and group.n <= 3):
+            raise UsageError("--lemma induced needs a wreath group with n <= 3")
+        if _INVOLUTION_LEMMAS.intersection(names):
+            _involution(group)
     built = {}
 
     def irreps_of(group: FiniteGroup) -> tuple:
@@ -711,12 +712,25 @@ EXIT_CODES = (
     (BoundUndefinedError, EXIT_RESOURCE),
     (ValueError, EXIT_USAGE),
     (CosetLabError, EXIT_FAIL),
+    (OSError, EXIT_RESOURCE),  # the report could not be written
 )
+
+
+def _check_out(out: str) -> None:
+    """UsageError unless out names a file in an existing directory."""
+    if not os.path.basename(out):
+        raise UsageError(f"--out {out!r} names no file")
+    if os.path.isdir(out):
+        raise UsageError(f"--out {out} is a directory")
+    if not os.path.isdir(os.path.dirname(out) or "."):
+        raise UsageError(f"--out {out}: no such directory")
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out is not None:
+            _check_out(args.out)
         return args.func(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

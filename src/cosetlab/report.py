@@ -15,6 +15,11 @@ import sys
 SCHEMA_VERSION = 1
 
 
+def exact_node(x) -> dict:
+    """An exact rational as reports print it: its string and its float."""
+    return {"exact": str(x), "value": float(x)}
+
+
 def json_text(payload: dict) -> str:
     doc = {"schema": SCHEMA_VERSION}
     doc.update(payload)
@@ -42,5 +47,8 @@ def emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise OSError(f"cannot write the report to {out}: {exc}") from exc

@@ -370,6 +370,12 @@ def _subset_stack(registers: RegisterTuple, subset) -> np.ndarray:
     return stack
 
 
+def _check_pair_cap(k: int) -> None:
+    """CapExceededError when the 4^k subset pairs exceed TUPLE_CAP."""
+    if 4 ** k > TUPLE_CAP:
+        raise CapExceededError(f"4^{k} subset pairs exceed cap {TUPLE_CAP}")
+
+
 def _bucket_by_class(group: FiniteGroup, per_element: np.ndarray) -> np.ndarray:
     n_classes = len(group.conjugacy_classes())
     out = np.zeros(n_classes, dtype=np.complex128)
@@ -507,6 +513,7 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     variance.
     """
     k = registers.k
+    _check_pair_cap(k)
     subs = subsets(k, nonempty=True)
     lin = sum(subset_expectation(registers, b, s, M) for s in subs)
     doubled_terms = {
@@ -550,6 +557,7 @@ def projector_sum_bound(registers: RegisterTuple, sigma,
     i = table.position(sigma)
     dims = table.dims.tolist()
     k = registers.k
+    _check_pair_cap(k)
     all_subs = subsets(k)
     lhs = 0.0
     for s1 in all_subs:

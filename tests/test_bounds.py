@@ -21,6 +21,7 @@ from cosetlab.sampling import (
     projected_masses,
     weak_dist_tuples,
     weak_rank,
+    weak_tuple_law,
 )
 
 
@@ -183,11 +184,17 @@ def test_weighted_quantile():
 
 def test_exact_enumeration_zero_rank_mass():
     g, M = _setup(2)
-    stats = bounds.exact_enumeration(g, M, 2, seed=0, trials=2)
+    fields, quantiles = bounds.exact_enumeration(g, M, 2, seed=0, trials=2,
+                                                 reps=group_irreps(g))
     # one zero-rank register spoils the tuple: 1 - (3/4)^2
-    assert stats.zero_rank_mass == Fraction(7, 16)
-    assert len(stats.triple_values) == len(stats.triple_weights)
-    assert abs(sum(stats.triple_weights) - 1.0) < 1e-9
+    assert fields["zero_rank_mass"] == {"exact": "7/16", "value": 7 / 16}
+    # the exact-mode fields of the report's "exact" section, in its key order
+    assert list(fields) == [
+        "expectation_tv_max", "expectation_tv_mean", "full_tv_max", "full_tv_mean",
+        "full_tv_weak_weighted_mean", "expected_variance_max",
+        "expectation_deviation_max", "zero_rank_mass"]
+    # zero-rank triples score the pessimal 2 and carry 7/16 of the weight
+    assert quantiles["p50"] <= quantiles["p90"] <= quantiles["max"] == bounds.PESSIMAL_TV
 
 
 def _six_tuple_enumeration(g, M, k, seed, trials):
@@ -259,18 +266,26 @@ def _six_tuple_enumeration(g, M, k, seed, trials):
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_exact_enumeration_equals_the_six_tuple_combine(n, k, trials):
     g, M = _setup(n)
-    stats = bounds.exact_enumeration(g, M, k, seed=6, trials=trials)
+    fields, quantiles = bounds.exact_enumeration(g, M, k, seed=6, trials=trials,
+                                                 reps=group_irreps(g))
     (zero_rank_mass, exp_tv, full_tv, full_tv_h, var_, dev,
      triple_weights, triple_values) = _six_tuple_enumeration(g, M, k, 6, trials)
-    assert stats.trials == trials
-    assert stats.zero_rank_mass == zero_rank_mass
-    assert stats.expectation_tv == exp_tv
-    assert stats.full_tv == full_tv
-    assert stats.full_tv_weak_weighted == full_tv_h
-    assert stats.expected_variance == var_
-    assert stats.expectation_deviation == dev
-    assert np.array_equal(stats.triple_weights, triple_weights)
-    assert np.array_equal(stats.triple_values, triple_values)
+    # max and mean of the reference's per-trial sums, bit for bit
+    assert fields == {
+        "expectation_tv_max": max(exp_tv),
+        "expectation_tv_mean": kahan_sum(exp_tv) / trials,
+        "full_tv_max": max(full_tv),
+        "full_tv_mean": kahan_sum(full_tv) / trials,
+        "full_tv_weak_weighted_mean": kahan_sum(full_tv_h) / trials,
+        "expected_variance_max": max(var_),
+        "expectation_deviation_max": max(dev),
+        "zero_rank_mass": {"exact": str(zero_rank_mass), "value": float(zero_rank_mass)},
+    }
+    assert quantiles == {
+        "p50": bounds.weighted_quantile(triple_values, triple_weights, 0.5),
+        "p90": bounds.weighted_quantile(triple_values, triple_weights, 0.9),
+        "max": max(triple_values),
+    }
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -288,9 +303,10 @@ def test_exact_enumeration_builds_no_basis_for_zero_rank_tuples(monkeypatch, n):
 
     monkeypatch.setattr(CounterRng, "haar_basis", counting)
     k, trials = 2, 2
-    stats = bounds.exact_enumeration(g, M, k, seed=4, trials=trials)
+    fields, _ = bounds.exact_enumeration(g, M, k, seed=4, trials=trials,
+                                         reps=group_irreps(g))
     assert len(built) == useful ** k * trials
-    assert stats.zero_rank_mass > 0
+    assert Fraction(fields["zero_rank_mass"]["exact"]) > 0
 
 
 def test_the_control_builds_no_basis(monkeypatch):
@@ -327,15 +343,59 @@ def test_the_pipeline_builds_no_labelled_tuple_law(monkeypatch):
     assert contexts == ["multiregister"] * 3
 
 
+def _parent_sampled_loop(group, M, k, seed, trials, reps):
+    """sampled_enumeration as it was before it shared _tuple_task with exact
+    mode: its own per-trial projectors and distance.  Kept literally as a
+    reference."""
+    labels = irrep_labels(group)
+    hidden = HiddenSubgroup(group, M.representative)
+    planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
+    cum = np.cumsum([p / group.order for p in planch])
+    ranks = [weak_rank(group, l, hidden) for l in labels]
+    values = np.full(trials, bounds.PESSIMAL_TV)
+    for t in range(trials):
+        rng = CounterRng(seed, "sampled", t)
+        picks = rng.floats01(0, k)
+        tup = [
+            min(int(np.searchsorted(cum, u, side="right")), len(labels) - 1)
+            for u in picks
+        ]
+        D = math.prod(reps[i].dim for i in tup)
+        rank_total = math.prod(ranks[i] for i in tup)
+        m = group.index(M.members[rng.index(k, M.size)])
+        if rank_total == 0:
+            continue
+        basis = rng.sub("basis").haar_basis(D)
+        projs = [member_projectors(reps[i], [m], ranks[i]) for i in tup]
+        probs = projected_masses(projs, basis)[0] / rank_total
+        values[t] = np.sum(np.abs(probs - 1.0 / D))
+    return values
+
+
+@pytest.mark.parametrize("n,k", [(4, 1), (4, 2), (2, 2)])
+def test_sampled_enumeration_has_the_bits_of_its_own_loop(n, k):
+    g, M = _setup(n)
+    reps = group_irreps(g)
+    values = []
+    for seed in range(4):
+        got = bounds.sampled_enumeration(g, M, k, seed, 4, reps)
+        assert np.array_equal(got, _parent_sampled_loop(g, M, k, seed, 4, reps))
+        values.extend(got)
+    if n == 2:
+        # zero-rank tuples are drawn too, and scored 2 without a basis
+        assert bounds.PESSIMAL_TV in values
+
+
 def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
-    def refuse(self, d):
-        raise AssertionError("a Haar basis was built")
+    def refuse(*args):
+        raise AssertionError("a Haar basis or an irrep stack was built")
 
     monkeypatch.setattr(CounterRng, "haar_basis", refuse)
-    g, M = _setup(4)
-    # wreath:4 has an 18-dimensional irrep and 18^3 > 4096
-    with pytest.raises(CapExceededError):
-        bounds.sampled_enumeration(g, M, 3, seed=0, trials=200)
+    monkeypatch.setattr(bounds, "group_irreps", refuse)
+    # wreath:4 has an 18-dimensional irrep and 18^3 > 4096; n = 4 is sampled
+    # mode, and the pipeline checks the cap once, before either enumeration
+    with pytest.raises(CapExceededError, match="exceed tensor cap 4096"):
+        bounds.theorem_pipeline(4, 3, seed=0, trials=200)
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -252,6 +252,38 @@ def test_a_non_integer_oracle_trace_is_a_typed_error(monkeypatch, capsys, lemma,
     assert captured.err.endswith(" is not an integer within tolerance\n")
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--lemma", "all", "--group", "wreath:4"],
+     "--lemma induced needs a wreath group with n <= 3"),
+    (["verify", "--lemma", "all", "--group", "sym:3"],
+     "--lemma induced needs a wreath group with n <= 3"),
+    (["verify", "--lemma", "expectation", "--group", "sym:1"], "sym:1 has no involutions"),
+], ids=["wreath:4", "sym:3", "no-involution"])
+def test_verify_checks_every_lemmas_group_before_the_first_lemma(monkeypatch, capsys,
+                                                                 argv, message):
+    def refuse(group):
+        raise AssertionError("a lemma ran before the group preconditions")
+
+    monkeypatch.setattr(cli, "group_irreps", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("lemma", ["multiregister", "projector-sum"])
+def test_verify_refuses_too_many_subset_pairs_before_any_pair(monkeypatch, capsys,
+                                                               lemma):
+    # 4^16 subset pairs; registers beyond the tensor cap fall back to
+    # dimension 1, so only the pair cap stops the run
+    def refuse(*args):
+        raise AssertionError("a subset pair was computed")
+
+    monkeypatch.setattr(sampling, "doubled_isotypic_masses", refuse)
+    monkeypatch.setattr(sampling, "isotypic_masses", refuse)
+    assert main(["verify", "--lemma", lemma, "--group", "wreath:2", "--k", "16",
+                 "--trials", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: 4^16 subset pairs exceed cap 100000\n")
+
+
 def test_verify_builds_each_groups_stacks_once(monkeypatch, capsys):
     group_irreps = cli.group_irreps
     built = []
@@ -359,6 +391,38 @@ def test_bounds_out_file(tmp_path, capsys):
     assert code == 0
     d = json.loads(out.read_text())
     assert d["schema"] == 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["bounds", "--n", "2", "--out", "/nonexistent/x.json"],
+     "error: --out /nonexistent/x.json: no such directory\n"),
+    (["irreps", "--group", "sym:3", "--out", "."], "error: --out . is a directory\n"),
+    (["verify", "--lemma", "rank", "--out", ""], "error: --out '' names no file\n"),
+    (["sample", "--group", "sym:3", "--weak", "--out", "x/"],
+     "error: --out 'x/' names no file\n"),
+], ids=["missing-directory", "directory", "empty", "trailing-slash"])
+def test_an_unusable_out_path_is_a_usage_error_before_any_group(monkeypatch, capsys,
+                                                                argv, message):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was built before the --out check")
+
+    monkeypatch.setattr(cli, "cached_group", refuse)
+    monkeypatch.setattr(cli.bounds_mod, "theorem_pipeline", refuse)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", message)
+
+
+def test_a_failed_report_write_is_one_error_line(monkeypatch, tmp_path, capsys):
+    from cosetlab import report
+
+    def full_disk(path, *args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(report, "open", full_disk, raising=False)
+    out = tmp_path / "r.json"
+    assert main(["irreps", "--group", "sym:3", "--out", str(out)]) == 3
+    assert capsys.readouterr() == (
+        "", f"error: cannot write the report to {out}: [Errno 28] No space left on device\n")
 
 
 def test_reports_byte_identical_across_threads(tmp_path, capsys):
