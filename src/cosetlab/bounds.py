@@ -58,7 +58,7 @@ from .irreps import (
 )
 from .parallel import kahan_sum, ordered_map
 from .report import exact_node
-from .rng import CounterRng
+from .rng import CounterRng, haar_bases
 from .sampling import (
     DEFAULT_TENSOR_CAP,
     HiddenSubgroup,
@@ -217,31 +217,27 @@ def _label_projectors(group: FiniteGroup, M: ConjugacyClass, reps) -> tuple[list
 
 # rows of _tuple_task's per-trial array
 EXP_TV, FULL_TV, VARIANCE, DEVIATION = range(4)
+# complex Haar-basis entries per chunk of tuples (at least one tuple)
+CHUNK_ENTRIES = 16_384
 
 
-def _tuple_task(projs, rank_total, streams, k):
-    """One label tuple, measured in one Haar basis per stream: a
-    (4, len(streams)) array of expectation TV, full TV, variance and
-    deviation, and the (len(streams), members) per-triple L1 distances to
-    uniform."""
-    trials, n_m = len(streams), len(projs[0])
-    if rank_total == 0:
-        # The tuple's projector is 0, so its masses are 0 in every basis:
-        # no basis is built, and the values are those of all-zero masses.
-        rows = np.array([PESSIMAL_TV, PESSIMAL_TV, 0.0, 0.5 ** k])[:, None]
-        return rows.repeat(trials, axis=1), np.full((trials, n_m), PESSIMAL_TV)
-    D = prod(p.shape[-1] for p in projs)
-    rows = np.empty((4, trials))
-    dists = np.empty((trials, n_m))
-    for t, rng in enumerate(streams):
-        raw = projected_masses(projs, rng.haar_basis(D))
-        mean_raw = raw.mean(axis=0)
-        probs = raw / rank_total
-        dists[t] = np.sum(np.abs(probs - 1.0 / D), axis=1)
-        rows[:, t] = (np.sum(np.abs(probs.mean(axis=0) - 1.0 / D)), dists[t].mean(),
-                      np.mean(np.mean((raw - mean_raw) ** 2, axis=0)),
-                      np.mean(np.abs(mean_raw - 0.5 ** k)))
-    return rows, dists
+def _tuple_task(projs, rank_totals, bases, k):
+    """C label tuples of one register-dimension signature, tuple c measured in
+    bases[c] (C, trials, D, D), with one (C, members, d, d) Pi_m stack per
+    register and the C nonzero rank products: the (C, 4, trials) EXP_TV to
+    DEVIATION rows and the (C, trials, members) L1 distances to uniform."""
+    D = bases.shape[-1]
+    bases = np.ascontiguousarray(bases)  # copied once, not once per member
+    # (C, trials, members, D), a member at a time: no array outgrows the bases
+    raw = np.concatenate([projected_masses([p[:, None, w:w + 1] for p in projs], bases)
+                          for w in range(projs[0].shape[1])], axis=2)
+    mean_raw = raw.mean(axis=2)
+    probs = raw / rank_totals[:, None, None, None]
+    dists = np.sum(np.abs(probs - 1.0 / D), axis=3)
+    rows = (np.sum(np.abs(probs.mean(axis=2) - 1.0 / D), axis=2), dists.mean(axis=2),
+            np.mean(np.mean((raw - mean_raw[:, :, None]) ** 2, axis=2), axis=2),
+            np.mean(np.abs(mean_raw - 0.5 ** k), axis=2))
+    return np.stack(rows, axis=1), dists
 
 
 def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
@@ -251,7 +247,9 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     in one Haar basis per (tuple, trial), and reduce with deterministic
     ordered sums.  Returns the exact-mode fields of the report's "exact"
     section and the quantiles of the per-triple distances.  reps is the
-    group's group_irreps tuple."""
+    group's group_irreps tuple.  The tuples are measured in chunks of one
+    register-dimension signature; a zero-rank tuple's projector is 0, so it
+    builds no basis and gets the values of all-zero masses."""
     if trials < 1:
         raise ValueError("need at least one basis trial")
     if len(reps) ** k > EXACT_TUPLE_CAP:
@@ -259,16 +257,30 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
             f"{len(reps)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
         )
     ranks, projs = _label_projectors(group, M, reps)
+    tuples = list(itertools.product(range(len(reps)), repeat=k))
+    rows = np.tile(np.array([PESSIMAL_TV, PESSIMAL_TV, 0.0, 0.5 ** k])[:, None],
+                   (len(tuples), 1, trials))
+    dists = np.full((len(tuples), trials, M.size), PESSIMAL_TV)
+    signatures = {}
+    for idx, tup in enumerate(tuples):
+        if all(ranks[i] for i in tup):
+            signatures.setdefault(tuple(reps[i].dim for i in tup), []).append(idx)
+    chunks = []
+    for dims, indices in signatures.items():
+        size = max(1, CHUNK_ENTRIES // (trials * prod(dims) ** 2))
+        chunks += [indices[s:s + size] for s in range(0, len(indices), size)]
 
-    def run(args):
-        idx, tup = args
-        streams = [CounterRng(seed, "bases", idx, t) for t in range(trials)]
-        return _tuple_task([projs[i] for i in tup], prod(ranks[i] for i in tup),
-                           streams, k)
+    def run(chunk):
+        D = prod(reps[i].dim for i in tuples[chunk[0]])
+        streams = [CounterRng(seed, "bases", idx, t) for idx in chunk for t in range(trials)]
+        return _tuple_task(
+            [np.stack([projs[tuples[idx][r]] for idx in chunk]) for r in range(k)],
+            np.array([prod(ranks[i] for i in tuples[idx]) for idx in chunk]),
+            haar_bases(streams, D).reshape(len(chunk), trials, D, D), k)
 
-    tuples = itertools.product(range(len(reps)), repeat=k)
-    results = ordered_map(run, list(enumerate(tuples)), threads=threads)
-    rows = np.stack([r for r, _ in results])  # (tuples, 4, trials)
+    for chunk, (chunk_rows, chunk_dists) in zip(
+            chunks, ordered_map(run, chunks, threads=threads)):
+        rows[chunk], dists[chunk] = chunk_rows, chunk_dists
 
     # the exact tuple laws, in the itertools.product order of `tuples`; a
     # tuple has H weight 0 exactly when one of its ranks is 0
@@ -294,7 +306,7 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
         "zero_rank_mass": exact_node(
             Fraction(sum(p for p, h in zip(planch, hlaw) if h == 0), total)),
     }
-    return fields, _quantiles(np.stack([d for _, d in results]).reshape(-1),
+    return fields, _quantiles(dists.reshape(-1),
                               np.repeat(weights_p / per_triple, per_triple))
 
 
@@ -326,15 +338,17 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     ranks, projs = _label_projectors(group, M, reps)
     planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
     cum = np.cumsum([p / group.order for p in planch])
-    values = np.empty(trials)
+    values = np.full(trials, PESSIMAL_TV)
     for t in range(trials):
         rng = CounterRng(seed, "sampled", t)
         tup = [min(int(np.searchsorted(cum, u, side="right")), len(reps) - 1)
                for u in rng.floats01(0, k)]
         w = rng.index(k, M.size)
-        _, dists = _tuple_task([projs[i][w:w + 1] for i in tup],
-                               prod(ranks[i] for i in tup), [rng.sub("basis")], k)
-        values[t] = dists[0, 0]
+        rank_total = prod(ranks[i] for i in tup)
+        if rank_total:
+            basis = rng.sub("basis").haar_basis(prod(reps[i].dim for i in tup))
+            values[t] = _tuple_task([projs[i][None, w:w + 1] for i in tup],
+                                    np.array([rank_total]), basis[None, None], k)[1][0, 0, 0]
     return values
 
 

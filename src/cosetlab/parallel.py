@@ -7,14 +7,14 @@ bytes whether it ran on one thread or many.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 
 def ordered_map(fn, items, threads: int = 1) -> list:
     """Map fn over items, preserving input order in the result list."""
     items = list(items)
     if threads <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
+    # imported here: only a pool needs it, and it costs every command ~8 ms
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
 

@@ -66,6 +66,8 @@ from .rng import CounterRng
 DEFAULT_TENSOR_CAP = 4096
 # the most label tuples an exact k-register law or decomposition sum lists
 TUPLE_CAP = 100_000
+# the most subset pairs the doubled-space sums visit (4^6: k <= 6)
+PAIR_CAP = 4 ** 6
 # Above this many stacked entries (|G| * D^2) the subset action falls back to
 # a per-element loop instead of a dense Kronecker stack.
 _DENSE_LIMIT = 1 << 25
@@ -280,19 +282,19 @@ def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
     """||(P_0[w] (x) ... (x) P_{k-1}[w]) b_j||^2 for every w and every basis
     column b_j.
 
-    projectors holds one (W, d_i, d_i) stack per register; basis is the
-    (D, D) matrix of columns with D the product of the d_i.  Returns the
-    (W, D) masses, one batched matrix product per register.
+    projectors holds one (..., W, d_i, d_i) stack per register and basis
+    (..., D, D) matrices of columns, D the product of the d_i, leading axes
+    broadcast.  Returns the (..., W, D) masses, a matmul per register.
     """
-    D = basis.shape[0]
-    block = basis
+    D = basis.shape[-1]
+    block = basis[..., None, None, :, :]
     lead = 1
     for proj in projectors:
         d = proj.shape[-1]
-        # register i is axis 2 of the (W, d_0 * ... * d_{i-1}, d_i, rest) view
-        block = proj[:, None] @ block.reshape(-1, lead, d, D * D // (lead * d))
+        # register i is axis -2 of the (..., W, d_0 * ... * d_{i-1}, d_i, rest) view
+        block = proj[..., None, :, :] @ block.reshape(*block.shape[:-3], lead, d, -1)
         lead *= d
-    return np.sum(np.abs(block.reshape(-1, D, D)) ** 2, axis=1)
+    return np.sum(np.abs(block.reshape(*block.shape[:-3], D, D)) ** 2, axis=-2)
 
 
 def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
@@ -371,9 +373,9 @@ def _subset_stack(registers: RegisterTuple, subset) -> np.ndarray:
 
 
 def _check_pair_cap(k: int) -> None:
-    """CapExceededError when the 4^k subset pairs exceed TUPLE_CAP."""
-    if 4 ** k > TUPLE_CAP:
-        raise CapExceededError(f"4^{k} subset pairs exceed cap {TUPLE_CAP}")
+    """CapExceededError when the 4^k subset pairs exceed PAIR_CAP."""
+    if 4 ** k > PAIR_CAP:
+        raise CapExceededError(f"4^{k} subset pairs exceed cap {PAIR_CAP}")
 
 
 def _bucket_by_class(group: FiniteGroup, per_element: np.ndarray) -> np.ndarray:

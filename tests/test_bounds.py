@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cosetlab import bounds
+from cosetlab import bounds, rng
 from cosetlab.distributions import SamplingDistribution
 from cosetlab.errors import BoundUndefinedError, CapExceededError, GroupMismatchError
 from cosetlab.groups import cached_group, involution_class
@@ -288,20 +288,47 @@ def test_exact_enumeration_equals_the_six_tuple_combine(n, k, trials):
     }
 
 
+def _count_bases(monkeypatch) -> list:
+    """The dimension of every Haar basis built from here on: each stream
+    passed to the batched entry, which CounterRng.haar_basis also calls."""
+    built = []
+    haar_bases = rng.haar_bases
+
+    def counting(streams, d):
+        built.extend([d] * len(streams))
+        return haar_bases(streams, d)
+
+    monkeypatch.setattr(rng, "haar_bases", counting)
+    monkeypatch.setattr(bounds, "haar_bases", counting)
+    return built
+
+
+def _refuse_bases(monkeypatch, refuse) -> None:
+    """Make every Haar basis path call refuse."""
+    monkeypatch.setattr(CounterRng, "haar_basis", refuse)
+    monkeypatch.setattr(rng, "haar_bases", refuse)
+    monkeypatch.setattr(bounds, "haar_bases", refuse)
+
+
+@pytest.mark.parametrize("n,k,trials", [(2, 3, 2), (3, 2, 3), (3, 3, 1)])
+def test_exact_enumeration_does_not_depend_on_its_chunks(monkeypatch, n, k, trials):
+    # the default chunks, the same over two threads, and one tuple per chunk
+    g, M = _setup(n)
+    reps = group_irreps(g)
+    runs = [bounds.exact_enumeration(g, M, k, 5, trials, reps, threads)
+            for threads in (1, 2)]
+    monkeypatch.setattr(bounds, "CHUNK_ENTRIES", 1)
+    runs.append(bounds.exact_enumeration(g, M, k, 5, trials, reps))
+    assert runs[0] == runs[1] == runs[2]
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_exact_enumeration_builds_no_basis_for_zero_rank_tuples(monkeypatch, n):
     g, M = _setup(n)
     hidden = HiddenSubgroup(g, M.representative)
     useful = sum(1 for lab in irrep_labels(g) if weak_rank(g, lab, hidden) > 0)
     assert 0 < useful < len(irrep_labels(g))
-    built = []
-    haar_basis = CounterRng.haar_basis
-
-    def counting(self, d):
-        built.append(d)
-        return haar_basis(self, d)
-
-    monkeypatch.setattr(CounterRng, "haar_basis", counting)
+    built = _count_bases(monkeypatch)
     k, trials = 2, 2
     fields, _ = bounds.exact_enumeration(g, M, k, seed=4, trials=trials,
                                          reps=group_irreps(g))
@@ -313,14 +340,7 @@ def test_the_control_builds_no_basis(monkeypatch):
     g, M = _setup(3)
     hidden = HiddenSubgroup(g, M.representative)
     useful = sum(1 for lab in irrep_labels(g) if weak_rank(g, lab, hidden) > 0)
-    built = []
-    haar_basis = CounterRng.haar_basis
-
-    def counting(self, d):
-        built.append(d)
-        return haar_basis(self, d)
-
-    monkeypatch.setattr(CounterRng, "haar_basis", counting)
+    built = _count_bases(monkeypatch)
     k, trials = 2, 2
     report = bounds.theorem_pipeline(3, k, trials=trials)
     assert report["mode"] == "exact" and report["control_trivial_tv"] == 0.0
@@ -390,7 +410,7 @@ def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
     def refuse(*args):
         raise AssertionError("a Haar basis or an irrep stack was built")
 
-    monkeypatch.setattr(CounterRng, "haar_basis", refuse)
+    _refuse_bases(monkeypatch, refuse)
     monkeypatch.setattr(bounds, "group_irreps", refuse)
     # wreath:4 has an 18-dimensional irrep and 18^3 > 4096; n = 4 is sampled
     # mode, and the pipeline checks the cap once, before either enumeration

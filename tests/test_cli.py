@@ -281,7 +281,24 @@ def test_verify_refuses_too_many_subset_pairs_before_any_pair(monkeypatch, capsy
     monkeypatch.setattr(sampling, "isotypic_masses", refuse)
     assert main(["verify", "--lemma", lemma, "--group", "wreath:2", "--k", "16",
                  "--trials", "1"]) == 3
-    assert capsys.readouterr() == ("", "error: 4^16 subset pairs exceed cap 100000\n")
+    assert capsys.readouterr() == ("", "error: 4^16 subset pairs exceed cap 4096\n")
+
+
+@pytest.mark.parametrize("lemma", ["multiregister", "projector-sum"])
+def test_the_subset_pair_cap_stops_k_7_and_lets_k_6_run(monkeypatch, capsys, lemma):
+    # the cap is 4^6 subset pairs: k = 6 runs, k = 7 stops before any pair
+    assert main(["verify", "--lemma", lemma, "--group", "wreath:2", "--k", "6",
+                 "--trials", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_pass"]
+
+    def refuse(*args):
+        raise AssertionError("a subset pair was computed")
+
+    monkeypatch.setattr(sampling, "doubled_isotypic_masses", refuse)
+    monkeypatch.setattr(sampling, "isotypic_masses", refuse)
+    assert main(["verify", "--lemma", lemma, "--group", "wreath:2", "--k", "7",
+                 "--trials", "1"]) == 3
+    assert capsys.readouterr() == ("", "error: 4^7 subset pairs exceed cap 4096\n")
 
 
 def test_verify_builds_each_groups_stacks_once(monkeypatch, capsys):
@@ -475,13 +492,15 @@ def test_console_script():
 
 
 def test_bounds_tensor_cap_fails_before_any_work(monkeypatch, capsys):
-    from cosetlab import bounds
+    from cosetlab import bounds, rng
     from cosetlab.rng import CounterRng
 
     def refuse(*args, **kwargs):
         raise AssertionError("expensive work ran before the tensor-cap check")
 
     monkeypatch.setattr(CounterRng, "haar_basis", refuse)
+    monkeypatch.setattr(rng, "haar_bases", refuse)
+    monkeypatch.setattr(bounds, "haar_bases", refuse)
     monkeypatch.setattr(bounds, "exact_weak_tv", refuse)
     assert main(["bounds", "--n", "4", "--k", "3", "--trials", "200"]) == 3
     assert "tensor cap" in capsys.readouterr().err

@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from cosetlab.cli import main
 from cosetlab.errors import RepresentationDefectError
-from cosetlab.rng import CounterRng, derive_stream
+from cosetlab import rng
+from cosetlab.rng import CounterRng, derive_stream, haar_bases
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -157,16 +158,24 @@ def test_haar_basis_is_the_gram_schmidt_factor_of_its_gaussian_matrix(d, seed, p
     assert np.max(np.abs(q - _haar_basis_column_loop(rng, d))) < 1e-12
 
 
-def test_a_singular_gaussian_matrix_is_a_typed_error(monkeypatch, capsys):
-    gaussian = CounterRng.complex_gaussian_matrix
+def _rank_deficient(monkeypatch, streams=None):
+    """Make the Gaussian generator's matrices singular: the last column is the
+    sum of the others (zero when d = 1), for the given streams or all."""
+    gaussian = rng._complex_gaussians
+    picked = None if streams is None else {s._base for s in streams}
 
-    def rank_deficient(self, rows, cols):
-        # the last column is the sum of the others (zero when d = 1)
-        a = gaussian(self, rows, cols)
-        a[:, -1] = a[:, :-1].sum(axis=1)
+    def deficient(bases, rows, cols):
+        a = gaussian(bases, rows, cols)
+        for b in np.ndindex(np.shape(bases)):
+            if picked is None or int(np.asarray(bases, dtype=np.uint64)[b]) in picked:
+                a[b][:, -1] = a[b][:, :-1].sum(axis=1)
         return a
 
-    monkeypatch.setattr(CounterRng, "complex_gaussian_matrix", rank_deficient)
+    monkeypatch.setattr(rng, "_complex_gaussians", deficient)
+
+
+def test_a_singular_gaussian_matrix_is_a_typed_error(monkeypatch, capsys):
+    _rank_deficient(monkeypatch)
     for d in (1, 2, 5):
         with pytest.raises(RepresentationDefectError, match="numerically singular"):
             CounterRng(3).haar_basis(d)
@@ -175,6 +184,30 @@ def test_a_singular_gaussian_matrix_is_a_typed_error(monkeypatch, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: gaussian matrix was numerically singular")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_a_singular_matrix_in_a_batch_is_the_same_typed_error(monkeypatch, d):
+    streams = [CounterRng(s, "batch") for s in range(3)]
+    _rank_deficient(monkeypatch, streams[1:2])
+    with pytest.raises(RepresentationDefectError) as alone:
+        streams[1].haar_basis(d)
+    with pytest.raises(RepresentationDefectError) as batched:
+        haar_bases(streams, d)
+    assert str(batched.value) == str(alone.value) == (
+        f"gaussian matrix was numerically singular at column {d - 1} of {d}")
+
+
+@pytest.mark.parametrize("d", [*range(1, 70), 128])
+def test_haar_bases_have_the_bits_of_one_basis_at_a_time(d):
+    mixed = [CounterRng(0), CounterRng(7, "bounds", d), CounterRng(2**64 + 5, "x", 2**70)]
+    mixed += [CounterRng(s, "bases", d, s % 3) for s in range(14)]
+    for streams in (mixed[:1], mixed[:3], mixed):
+        got = haar_bases(streams, d)
+        assert got.shape == (len(streams), d, d) and got.dtype == np.complex128
+        assert np.array_equal(got, np.stack([s.haar_basis(d) for s in streams]))
+        assert np.array_equal(got, np.stack([_haar_basis_right_looking(s, d)
+                                             for s in streams]))
 
 
 _THREAD_PROBE = """
