@@ -25,7 +25,8 @@ action of the group on the chosen registers:
   doubled_expectation(I1, I2)  the same on b (x) conj(b), carried as the
                                rank-one matrix W = b b^dagger so that no
                                D^2 x D^2 matrix is ever materialized.  Its
-                               kernel forms g^I1 W once per row of I2s.
+                               kernel forms g^I1 W once per row of I2s and
+                               applies g^I on I's first to last registers.
 
 These give exact mean / variance identities for the measured mass
 ||Pi_m^(x)k b||^2 as m ranges over M, which is what the distinguishability
@@ -357,19 +358,44 @@ def subsets(k: int, nonempty: bool = False):
     return out
 
 
-def _subset_stack(registers: RegisterTuple, subset) -> np.ndarray:
-    """Dense (|G|, D, D) stack of g acting on the subset registers only."""
+def _span_stack(registers: RegisterTuple, subset, start: int, stop: int) -> np.ndarray:
+    """Dense (|G|, D', D') stack of g acting on the subset registers among
+    start .. stop - 1 and as the identity on the others there, D' the product
+    of their dimensions.  start 0, stop k gives g^subset on the whole tuple."""
     order = registers.group.order
     stack = np.ones((order, 1, 1))
-    for i, rep in enumerate(registers.irreps):
-        fac = rep.stack if i in subset else np.broadcast_to(
-            np.eye(rep.dim), (order, rep.dim, rep.dim)
-        )
-        d0, d1 = stack.shape[1], rep.dim
-        stack = np.einsum("gij,gkl->gikjl", stack, fac).reshape(
-            order, d0 * d1, d0 * d1
-        )
+    for i, rep in enumerate(registers.irreps[start:stop], start):
+        fac = (rep.stack if i in subset
+               else np.broadcast_to(np.eye(rep.dim), rep.stack.shape))
+        d = stack.shape[1] * rep.dim
+        stack = np.einsum("gij,gkl->gikjl", stack, fac).reshape(order, d, d)
     return stack
+
+
+def _apply_subset(registers: RegisterTuple, subset, x: np.ndarray,
+                  conj: bool) -> np.ndarray:
+    """(|G|, R * D * t): g^subset (conjugated if conj) for every g on the
+    register index of x, a (1 or |G|, R, D * t) array whose last axis is that
+    index followed by t entries, by one batched matmul of a reshaped view of x
+    with the span stack from the subset's first register to its last.  The
+    dense stack's other entries only add exact-zero terms and factors of 1.0
+    to each BLAS sum, so the result has the dense product's bits."""
+    start, stop = (subset[0], subset[-1] + 1) if subset else (0, 0)
+    if start and x.shape[-1] == registers.total_dim:
+        # a middle block uses the first form below, K spanning to the last register
+        stop = registers.k
+    K = _span_stack(registers, subset, start, stop)
+    K = K.conj() if conj else K
+    pre = prod(registers.dims[:start])
+    rows, post = x.shape[1] * pre, x.shape[-1] // (pre * K.shape[1])
+    if post == 1:
+        # nothing after the block: x.reshape(g, R * pre, D_span) @ K^T.  The other
+        # form would be a one-column product, which goes through gemv: other bits
+        y = x.reshape(-1, rows, K.shape[1]) @ K.swapaxes(1, 2)
+    else:
+        # entries after the block: K[:, None] @ x.reshape(g, R * pre, D_span, post)
+        y = K[:, None] @ x.reshape(-1, rows, K.shape[1], post)
+    return y.reshape(len(K), -1)
 
 
 def _check_pair_cap(k: int) -> None:
@@ -391,7 +417,7 @@ def _subset_overlap_buckets(registers: RegisterTuple, subset,
     group = registers.group
     D = registers.total_dim
     if group.order * D * D <= _DENSE_LIMIT:
-        stack = _subset_stack(registers, subset)
+        stack = _span_stack(registers, subset, 0, registers.k)
         per = np.einsum("i,gij,j->g", b.conj(), stack, b)
     else:
         per = np.empty(group.order, dtype=np.complex128)
@@ -434,9 +460,11 @@ def doubled_isotypic_masses(registers: RegisterTuple, first, seconds,
                             b: np.ndarray) -> np.ndarray:
     """||J_sigma (b (x) conj(b))||^2 per sigma, in label order, on the doubled
     space, where g acts by g^first on the left factor and conj(g^second) on
-    the right: one row per subset in `seconds`.  g^first W (W = b b^dagger)
-    is formed once; each row runs the rest of numpy's path for the einsum
-    "gik,kl,gjl,ij->g", so it has that contraction's bits."""
+    the right: one row per subset in `seconds`.  left = g^first W (W = b
+    b^dagger) is formed once; each row applies conj(g^second) to its columns
+    and contracts with conj(W).  Both actions go block by block through
+    _apply_subset, so each row has the bits of numpy's einsum
+    "gik,kl,gjl,ij->g" on the dense stacks."""
     D = registers.total_dim
     if D * D > registers.tensor_cap:
         raise CapExceededError(
@@ -444,12 +472,14 @@ def doubled_isotypic_masses(registers: RegisterTuple, first, seconds,
         )
     group = registers.group
     w = np.outer(b, b.conj())
-    left = _subset_stack(registers, first) @ w
+    left = _apply_subset(registers, first, w.reshape(1, 1, -1), False)
+    right = w.conj().reshape(-1)
     out = np.empty((len(seconds), len(character_table(group).dims)))
     for row, second in enumerate(seconds):
-        # the stack is built inline so that only one second stack is alive
-        per = np.einsum("gjl,ij,gil->g", _subset_stack(registers, second).conj(),
-                        w.conj(), left, optimize=["einsum_path", (0, 2), (0, 1)])
+        y = _apply_subset(registers, second, left.reshape(-1, D, D), True)
+        # at D = 1 numpy's einsum is an elementwise product; a matmul has other bits
+        per = y @ right if D > 1 else y[:, 0] * right
+        del y  # free each row's (|G|, D, D) intermediate before the next row
         out[row] = _masses_from_buckets(group, _bucket_by_class(group, per))
     return out
 

@@ -2,7 +2,12 @@ import functools
 import itertools
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,6 +60,7 @@ S3 = cached_group("sym:3")
 S4 = cached_group("sym:4")
 W2 = cached_group("wreath:2")
 W3 = cached_group("wreath:3")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def transposition_subgroup(group, text="(01)"):
@@ -445,7 +451,7 @@ def test_per_element_overlap_fallback_matches_the_dense_path(monkeypatch, spec):
         raise AssertionError("the dense subset stack was built")
 
     monkeypatch.setattr(sampling, "_DENSE_LIMIT", 0)
-    monkeypatch.setattr(sampling, "_subset_stack", refuse)
+    monkeypatch.setattr(sampling, "_span_stack", refuse)
     for regs, b, sub, dense in cases:
         assert np.max(np.abs(isotypic_masses(regs, sub, b) - dense)) <= 1e-12
         got = subset_expectation(regs, b, sub, M)
@@ -625,8 +631,8 @@ def _four_operand_masses(regs, first, second, b):
     """Per-element doubled overlaps and the isotypic masses from them, with
     both subset stacks and one einsum per (first, second) pair."""
     w = np.outer(b, b.conj())
-    s1 = sampling._subset_stack(regs, first)
-    s2 = sampling._subset_stack(regs, second)
+    s1 = sampling._span_stack(regs, first, 0, regs.k)
+    s2 = sampling._span_stack(regs, second, 0, regs.k)
     per = np.einsum("gik,kl,gjl,ij->g", s1, w, s2.conj(), w.conj(), optimize=True)
     group = regs.group
     buckets = sampling._bucket_by_class(group, per)
@@ -640,8 +646,10 @@ def _random_registers(group, k, stream):
     return regs, rng.sub("vec").unit_vector(regs.total_dim)
 
 
-DOUBLED_CASES = [(g, k, stream) for g in (W2, W3) for k in (1, 2, 3)
-                 for stream in range(3)]
+# sym:4 and wreath:2 at k = 4 add middle subsets such as (1,) and (1, 2),
+# non-contiguous ones such as (0, 2), (1, 3) and (0, 3), and D = 1 tuples
+DOUBLED_CASES = [(g, k, stream) for g in (W2, W3, S4) for k in (1, 2, 3)
+                 for stream in range(3)] + [(W2, 4, stream) for stream in range(3)]
 
 
 @pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
@@ -668,7 +676,8 @@ def test_doubled_rows_have_the_bits_of_the_four_operand_einsum(
 @pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
 def test_moments_and_projector_sum_equal_their_per_pair_sums(group, k, stream):
     regs, b = _random_registers(group, k, stream)
-    M = involution_class(group)
+    M = (involution_class(group) if group is not S4
+         else group.class_of(parse_cycles("(01)", 4)))
     ratios = sampling.normalized_characters(group, M)
     masses = {(s1, s2): _four_operand_masses(regs, s1, s2, b)[1]
               for s1 in subsets(k) for s2 in subsets(k)}
@@ -693,13 +702,57 @@ def test_doubled_cap_is_checked_before_any_stack(monkeypatch):
     def refuse(*_):
         raise AssertionError("a subset stack was built")
 
-    monkeypatch.setattr(sampling, "_subset_stack", refuse)
+    monkeypatch.setattr(sampling, "_span_stack", refuse)
     regs = RegisterTuple.from_labels(W3, ["{[3],[2,1]}", "{[3],[2,1]}"], tensor_cap=100)
     b = CounterRng(59).unit_vector(regs.total_dim)
     with pytest.raises(CapExceededError):
         sampling.doubled_isotypic_masses(regs, (0,), [(0,), (1,)], b)
     with pytest.raises(CapExceededError):
         doubled_expectation(regs, b, (0,), (1,), involution_class(W3))
+
+
+def test_doubled_kernel_peaks_no_higher_than_the_dense_stacks():
+    # 16.7 MB is the peak of the dense-stack kernel measured the same way
+    regs = RegisterTuple.from_labels(W3, ["{[3],[2,1]}"] * 3)
+    b = CounterRng(61).unit_vector(regs.total_dim)
+    sampling.doubled_isotypic_masses(regs, (), [()], b)  # fills the group's caches
+    for first in subsets(3):
+        tracemalloc.start()
+        try:
+            sampling.doubled_isotypic_masses(regs, first, subsets(3), b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.7e6, (first, peak)
+
+
+_DOUBLED_THREAD_PROBE = """
+import hashlib, sys
+from cosetlab.cli import main
+from cosetlab.groups import cached_group
+from cosetlab.rng import CounterRng
+from cosetlab.sampling import RegisterTuple, doubled_isotypic_masses, subsets
+regs = RegisterTuple.from_labels(cached_group("wreath:3"), ["{[3],[2,1]}"] * 3)
+b = CounterRng(67).unit_vector(64)
+for first in subsets(3):
+    rows = doubled_isotypic_masses(regs, first, subsets(3), b)
+    print(first, hashlib.sha256(rows.tobytes()).hexdigest())
+sys.exit(main(["verify", "--lemma", "multiregister", "--group", "wreath:3",
+               "--k", "3", "--trials", "3", "--seed", "0"]))
+"""
+
+
+def test_verify_bits_do_not_depend_on_the_blas_thread_count():
+    outs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=str(SRC), OPENBLAS_NUM_THREADS=threads,
+                   OMP_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-c", _DOUBLED_THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert '"all_pass": true' in outs[0]
+    assert outs[0] == outs[1]
 
 
 # ---------------------------------------------------------------------------
