@@ -30,8 +30,10 @@ Gaussians come in pairs from the polar form
 complex entries are (g(2m) + i g(2m+1)) / sqrt(2) in row-major order, and a
 Haar basis is the modified Gram-Schmidt orthonormalization (columns in
 order, positive real normalizers) of a square complex Gaussian matrix, run
-right-looking with einsum inner products, never a threaded BLAS call, on a
-stack of same-size bases at once with the bits each has alone.
+blocked and right-looking on a stack of same-size bases at once with the
+bits each has alone: einsum inner products inside a panel of columns, and
+matmuls cut into gemm slices of m * n * k <= 65,536, which OpenBLAS runs on
+one thread, for the later columns.
 """
 
 from __future__ import annotations
@@ -165,9 +167,9 @@ class CounterRng:
         return z / np.linalg.norm(z)
 
     def haar_basis(self, d: int) -> np.ndarray:
-        """A (d, d) unitary whose columns are the basis vectors: the batched
+        """A (d, d) unitary whose columns are the basis vectors: the blocked
         modified Gram-Schmidt of haar_bases on this one stream, with the same
-        bits, so unique and replayable."""
+        bits, so unique and replayable whatever the BLAS thread count."""
         return haar_bases([self], d)[0]
 
     def index(self, i: int, n: int) -> int:
@@ -177,24 +179,62 @@ class CounterRng:
         return min(int(self.floats01(i, 1)[0] * n), n - 1)
 
 
+# OpenBLAS runs a zgemm on one thread when m * n * k is small enough, and
+# every gemm slice of haar_bases stays at or under this size.  A (32 x 324)
+# @ (324 x 16) slice (165,888) printed other bits under two BLAS threads; a
+# (16 x 324) @ (324 x 16) slice (82,944) did not.
+_GEMM_SLICE = 65_536
+
+
+def _gemm_tiles(d: int) -> tuple[int, int]:
+    """(tile height, panel width) of haar_bases at dimension d: powers of two
+    with tile <= panel <= 16 and tile * d * panel <= _GEMM_SLICE, which holds
+    up to d = 65,536.  Both stay >= 2 up to d = 16,384: numpy sends a
+    product with a side of 1 to gemv, which OpenBLAS threads at another
+    size."""
+    panel = 16
+    while panel > 1 and 2 * panel * d > _GEMM_SLICE:
+        panel //= 2
+    tile = panel
+    while tile > 1 and tile * panel * d > _GEMM_SLICE:
+        tile //= 2
+    return tile, panel
+
+
 def haar_bases(streams, d: int) -> np.ndarray:
     """(len(streams), d, d) stack of each stream's Haar basis, columns the
-    basis vectors: right-looking modified Gram-Schmidt (each normalized
-    column leaves all later ones at once) with positive real normalizers, on
-    the whole stack one column at a time.  The norms have np.linalg.norm's
-    bits, and einsum projections, never threaded BLAS, keep the bits
-    thread-count independent."""
-    # q[b, j] is column j of basis b
-    q = _complex_gaussians([s._base for s in streams], d, d).transpose(0, 2, 1).copy()
-    for i in range(d):
-        c = q[:, i]
-        nrm = np.sqrt(np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
-        if not nrm.min() > 1e-12:
-            raise RepresentationDefectError(
-                f"gaussian matrix was numerically singular at column {i} of {d}")
-        c /= nrm[:, None]
-        rest = q[:, i + 1:]
-        h = np.einsum("bji,bi->bj", rest, c.conj())
-        # order "C": under numpy's default "K" this product ran 5x slower (B = 4)
-        rest -= np.multiply(h[:, :, None], c[:, None], order="C")
-    return q.transpose(0, 2, 1)
+    basis vectors: blocked right-looking modified Gram-Schmidt with positive
+    real normalizers, on the whole stack at once.  Inside a panel of
+    columns, each normalized column leaves the panel's later ones through an
+    einsum; then the panel leaves every later column through two stacked
+    matmuls, cut into tiles so that every gemm slice has m * n * k <=
+    _GEMM_SLICE and runs on one BLAS thread.  The norms have np.linalg.norm's
+    bits, and each basis has the bits it has alone, whatever the BLAS thread
+    count.  At d <= 16 there is one panel and no matmul."""
+    tile, panel = _gemm_tiles(d)
+    # drawn before q is allocated: with the draw allocated after q and freed,
+    # the same loop below ran 20-30% slower at d = 8..16
+    a = _complex_gaussians([s._base for s in streams], d, d)
+    # q[b, j] is column j of basis b; rows from d on are zero padding, so
+    # that the columns after each panel split into whole tiles
+    q = np.zeros((len(a), d + (-d) % tile if d > panel else d, d), dtype=np.complex128)
+    q[:, :d] = a.transpose(0, 2, 1)
+    del a
+    for start in range(0, d, panel):
+        stop = min(start + panel, d)
+        for i in range(start, stop):
+            c = q[:, i]
+            nrm = np.sqrt(np.vecdot(c.real, c.real) + np.vecdot(c.imag, c.imag))
+            if not nrm.min() > 1e-12:
+                raise RepresentationDefectError(
+                    f"gaussian matrix was numerically singular at column {i} of {d}")
+            c /= nrm[:, None]
+            rest = q[:, i + 1:stop]
+            h = np.einsum("bji,bi->bj", rest, c.conj())
+            # order "C": under numpy's default "K" this product ran 5x slower (B = 4)
+            rest -= np.multiply(h[:, :, None], c[:, None], order="C")
+        if stop < d:
+            p = q[:, None, start:stop]
+            trail = q[:, stop:].reshape(len(q), -1, tile, d)
+            trail -= (trail @ p.conj().transpose(0, 1, 3, 2)) @ p
+    return q[:, :d].transpose(0, 2, 1)

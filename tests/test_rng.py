@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from cosetlab.cli import main
 from cosetlab.errors import RepresentationDefectError
 from cosetlab import rng
-from cosetlab.rng import CounterRng, derive_stream, haar_bases
+from cosetlab.rng import CounterRng, _gemm_tiles, derive_stream, haar_bases
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -118,28 +118,38 @@ def _haar_basis_column_loop(rng, d):
     return q
 
 
-def _haar_basis_right_looking(rng, d):
-    """A literal copy of haar_basis, to pin its bits against edits."""
-    q = rng.complex_gaussian_matrix(d, d).T.copy()
-    for i in range(d):
-        q[i] /= np.linalg.norm(q[i])
-        h = np.einsum("ji,i->j", q[i + 1:], q[i].conj())
-        q[i + 1:] -= np.multiply.outer(h, q[i])
-    return q.T
+def _haar_basis_blocked(rng, d):
+    """A literal copy of haar_basis on one stream, one tile at a time, to pin
+    its bits against edits."""
+    tile, panel = _gemm_tiles(d)
+    q = np.zeros((d + (-d) % tile if d > panel else d, d), dtype=np.complex128)
+    q[:d] = rng.complex_gaussian_matrix(d, d).T
+    for start in range(0, d, panel):
+        stop = min(start + panel, d)
+        for i in range(start, stop):
+            q[i] /= np.linalg.norm(q[i])
+            h = np.einsum("ji,i->j", q[i + 1:stop], q[i].conj())
+            q[i + 1:stop] -= np.multiply.outer(h, q[i])
+        if stop < d:
+            for row in range(stop, len(q), tile):
+                t = q[row:row + tile]
+                t -= (t @ q[start:stop].conj().T) @ q[start:stop]
+    return q[:d].T
 
 
-@pytest.mark.parametrize("d", [*range(1, 70), 128, 324])
+@pytest.mark.parametrize("d", [*range(1, 70), 128, 216, 324])
 def test_haar_basis_has_the_bits_of_the_column_loop(d):
-    # The right-looking loop makes the column loop's projections in the same
-    # order but sums each inner product in another order, so the two agree
-    # to rounding (1.9e-13 at most over these cases); the bits are pinned
-    # against the literal right-looking copy.
+    # Inside a panel the blocked loop makes the column loop's projections,
+    # summed in another order; a later column leaves a whole panel at once,
+    # its inner products all taken before any is removed.  So the two agree
+    # to rounding (1.9e-13 at most over these cases, at d = 56), and the
+    # bits are pinned against the literal blocked copy.
     for stream in range(3):
         rng = CounterRng(stream, "haar-bits", d)
         q = rng.haar_basis(d)
         assert q.shape == (d, d) and q.dtype == np.complex128
         assert np.max(np.abs(q - _haar_basis_column_loop(rng, d))) < 1e-12
-        assert np.array_equal(q, _haar_basis_right_looking(rng, d))
+        assert np.array_equal(q, _haar_basis_blocked(rng, d))
 
 
 @settings(max_examples=40, deadline=None, database=None)
@@ -176,7 +186,7 @@ def _rank_deficient(monkeypatch, streams=None):
 
 def test_a_singular_gaussian_matrix_is_a_typed_error(monkeypatch, capsys):
     _rank_deficient(monkeypatch)
-    for d in (1, 2, 5):
+    for d in (1, 2, 5, 40):
         with pytest.raises(RepresentationDefectError, match="numerically singular"):
             CounterRng(3).haar_basis(d)
     assert main(["bounds", "--n", "2", "--k", "1"]) == 1
@@ -186,7 +196,7 @@ def test_a_singular_gaussian_matrix_is_a_typed_error(monkeypatch, capsys):
     assert captured.err.count("\n") == 1
 
 
-@pytest.mark.parametrize("d", [1, 2, 5])
+@pytest.mark.parametrize("d", [1, 2, 5, 40])
 def test_a_singular_matrix_in_a_batch_is_the_same_typed_error(monkeypatch, d):
     streams = [CounterRng(s, "batch") for s in range(3)]
     _rank_deficient(monkeypatch, streams[1:2])
@@ -198,7 +208,7 @@ def test_a_singular_matrix_in_a_batch_is_the_same_typed_error(monkeypatch, d):
         f"gaussian matrix was numerically singular at column {d - 1} of {d}")
 
 
-@pytest.mark.parametrize("d", [*range(1, 70), 128])
+@pytest.mark.parametrize("d", [*range(1, 70), 128, 216])
 def test_haar_bases_have_the_bits_of_one_basis_at_a_time(d):
     mixed = [CounterRng(0), CounterRng(7, "bounds", d), CounterRng(2**64 + 5, "x", 2**70)]
     mixed += [CounterRng(s, "bases", d, s % 3) for s in range(14)]
@@ -206,17 +216,20 @@ def test_haar_bases_have_the_bits_of_one_basis_at_a_time(d):
         got = haar_bases(streams, d)
         assert got.shape == (len(streams), d, d) and got.dtype == np.complex128
         assert np.array_equal(got, np.stack([s.haar_basis(d) for s in streams]))
-        assert np.array_equal(got, np.stack([_haar_basis_right_looking(s, d)
-                                             for s in streams]))
+        assert np.array_equal(got, np.stack([_haar_basis_blocked(s, d) for s in streams]))
 
 
 _THREAD_PROBE = """
 import hashlib, sys
 from cosetlab.cli import main
-from cosetlab.rng import CounterRng
-for d in (64, 128, 324):
+from cosetlab.rng import CounterRng, haar_bases
+for d in (64, 128, 216, 324):
     q = CounterRng(5, "threads", d).haar_basis(d)
     print(d, hashlib.sha256(q.tobytes()).hexdigest())
+q = haar_bases([CounterRng(s, "threads", 324) for s in range(3)], 324)
+print("batch", hashlib.sha256(q.tobytes()).hexdigest())
+if main(["bounds", "--n", "3", "--k", "3", "--trials", "1", "--seed", "0"]):
+    sys.exit(1)
 sys.exit(main(["bounds", "--n", "4", "--k", "2", "--trials", "10", "--seed", "2"]))
 """
 
@@ -232,6 +245,14 @@ def test_haar_bits_do_not_depend_on_the_blas_thread_count():
         outs.append(proc.stdout)
     assert outs[0].count("\n") > 3
     assert outs[0] == outs[1]
+
+
+def test_every_gemm_slice_of_a_haar_basis_fits_one_blas_thread():
+    # 5,832 = 18^3 is wreath:4 at k = 3, above the default tensor cap 4,096
+    for d in [*range(1, 4097), 5832]:
+        tile, panel = _gemm_tiles(d)
+        assert tile * d * panel <= 65_536
+        assert 2 <= tile <= panel <= 16 and panel % tile == 0
 
 
 def test_unit_vector():
