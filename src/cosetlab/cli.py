@@ -694,7 +694,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="empty bad set, so lambda ranges over every irrep")
     p.add_argument("--full-tvd", action="store_true",
                    help="fail with exit 3 if the full bound is undefined")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="size of exact mode's thread pool (sampled mode runs "
+                        "on one thread); the report bytes do not depend on it")
     p.add_argument("--tensor-cap", type=int, default=DEFAULT_TENSOR_CAP)
     _add_output_flags(p)
     p.set_defaults(func=cmd_bounds)

@@ -19,7 +19,14 @@ faithful action on 2n points, alpha on block 0..n-1 and beta on block
 n..2n-1 for flip 0, the blocks crossed for flip 1, plus two marker points
 that the flip swaps (without them wreath:0 would act trivially).
 point_rank maps rows back to enumeration indices: the Lehmer code for sym,
-(rank(alpha)*n! + rank(beta))*2 + flip for wreath.
+(rank(alpha)*n! + rank(beta))*2 + flip for wreath.  The point row of g*h is
+g's row indexed by h's row.
+
+Each group has one generating set, generators(), in a fixed order: for sym:n
+the adjacent transpositions s_0, ..., s_(n-2), s_i swapping i and i+1; for
+wreath:n ((s_i, e), 0) for each i, then ((e, s_i), 0) for each i, then the
+block swap.  Young's orthogonal form walks them, MatrixRep.check tests the
+homomorphism on them, and the oracle spells elements as words over them.
 
 Conjugacy classes are brute-force orbits under conjugation by every
 element, computed on the point-image arrays; no cycle-type shortcuts are
@@ -289,7 +296,6 @@ class FiniteGroup:
         self._points: np.ndarray | None = None
         self._classes: tuple[ConjugacyClass, ...] | None = None
         self._class_indices: np.ndarray | None = None
-        self._mult_table: np.ndarray | None = None
 
     # Subclasses fill these in.
     @property
@@ -307,6 +313,9 @@ class FiniteGroup:
         raise NotImplementedError
 
     def identity(self):
+        raise NotImplementedError
+
+    def generators(self) -> tuple:
         raise NotImplementedError
 
     def class_label(self, g) -> tuple:
@@ -400,18 +409,6 @@ class FiniteGroup:
     def class_of(self, g) -> ConjugacyClass:
         return self.conjugacy_classes()[self.class_position(g)]
 
-    def multiplication_table(self) -> np.ndarray:
-        """table[i, j] = index of elements[i] * elements[j].  O(|G|^2)."""
-        if self._mult_table is None:
-            pts = self.point_images()
-            order, width = pts.shape
-            # (g_i * g_j)(p) = g_i(g_j(p))
-            products = pts[:, pts].reshape(order * order, width)
-            self._mult_table = (
-                self.point_rank(products).reshape(order, order).astype(np.int32)
-            )
-        return self._mult_table
-
     def class_indices(self) -> np.ndarray:
         """Per element (in enumeration order), the index of its class."""
         if self._class_indices is None:
@@ -442,6 +439,11 @@ class SymmetricGroup(FiniteGroup):
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.n)
+
+    @lru_cache(maxsize=None)
+    def generators(self) -> tuple[Permutation, ...]:
+        e = tuple(range(self.n))
+        return tuple(Permutation(e[:i] + (i + 1, i) + e[i + 2:]) for i in range(self.n - 1))
 
     def class_label(self, g: Permutation) -> tuple:
         return g.cycle_type()
@@ -495,6 +497,13 @@ class WreathGroup(FiniteGroup):
 
     def swap_element(self) -> WreathElement:
         return WreathElement.swap(self.n)
+
+    @lru_cache(maxsize=None)
+    def generators(self) -> tuple[WreathElement, ...]:
+        e = Permutation.identity(self.n)
+        s = SymmetricGroup(self.n).generators()
+        return (tuple(WreathElement(t, e, 0) for t in s)
+                + tuple(WreathElement(e, t, 0) for t in s) + (self.swap_element(),))
 
     def class_label(self, g: WreathElement) -> tuple:
         # Invariants under conjugation: the unordered pair of cycle types for

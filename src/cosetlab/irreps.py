@@ -4,7 +4,7 @@ S_n irreps use Young's orthogonal form: the adjacent transposition (i,i+1)
 acts on standard tableaux with diagonal entry 1/axial-distance and an
 off-diagonal coupling to the letter-swapped tableau when that is standard.
 General elements are filled in by a breadth-first walk over the Cayley graph
-of adjacent transpositions, one matrix product per element:
+of the adjacent transpositions, the group's generators(), one product each:
 stack[g * s] = stack[g] @ stack[s] for the parent g and generator s through
 which the walk first reaches g * s.  The walk goes one level at a time on the
 group's point-image array.  The children g * s of a whole level are ranked
@@ -51,7 +51,6 @@ from .errors import (
     RepresentationDefectError,
 )
 from .groups import FiniteGroup, SymmetricGroup, WreathElement, WreathGroup, cached_group
-from .rng import CounterRng
 from .tableaux import (
     Partition,
     character_sn,
@@ -66,8 +65,6 @@ from .tableaux import (
 
 EPS = 1e-9
 TRACE_INT_TOL = 1e-6
-# sampled products in MatrixRep.check when |G| > 200
-PAIR_BUDGET = 2000
 MAX_YOR_N = 7
 MAX_WREATH_N = 4
 
@@ -182,9 +179,14 @@ class MatrixRep:
     def check(self) -> None:
         """Verify unitarity and the homomorphism property within EPS.
 
-        Exhaustive over all |G|^2 products when |G| <= 200, otherwise over
-        PAIR_BUDGET deterministic pseudorandom pairs.  Raises
-        RepresentationDefectError on failure.
+        Checks rho(g) rho(s) = rho(g*s) for every element g and every s in
+        e and group.generators(), with g*s ranked from the point rows; s = e
+        gives rho(e) = I, since unitary rho(g) are invertible.  That is the
+        whole homomorphism property: every h is a word s_1 ... s_k over the
+        generators (a finite group needs no inverses), and by induction on
+        k, rho(g) rho(h s) = rho(g) rho(h) rho(s) = rho(g*h) rho(s) =
+        rho(g*h*s).  Within tolerance, a word of k steps on d x d matrices
+        adds up to about k*d*EPS.  Raises RepresentationDefectError.
         """
         stack = self.stack
         eye = np.eye(self.dim)
@@ -194,29 +196,17 @@ class MatrixRep:
             raise RepresentationDefectError(
                 f"{self.name}: unitarity defect {worst:.3e} exceeds {EPS:.1e}"
             )
-        order = self.group.order
-        if order <= 200:
-            table = self.group.multiplication_table()
-            for i in range(order):
-                prod = stack[i] @ stack
-                defect = np.max(np.abs(prod - stack[table[i]]))
-                if defect > EPS:
-                    raise RepresentationDefectError(
-                        f"{self.name}: homomorphism defect {defect:.3e} at row {i}"
-                    )
-        else:
-            els = self.group.elements
-            rng = CounterRng(0, "rep-check", self.name)
-            for t in range(PAIR_BUDGET):
-                i = rng.index(2 * t, order)
-                j = rng.index(2 * t + 1, order)
-                k = self.group.index(els[i] * els[j])
-                defect = np.max(np.abs(stack[i] @ stack[j] - stack[k]))
-                if defect > EPS:
-                    raise RepresentationDefectError(
-                        f"{self.name}: homomorphism defect {defect:.3e} "
-                        f"at sampled pair {t}"
-                    )
+        group = self.group
+        pts = group.point_images()
+        for s in (group.identity(),) + group.generators():
+            j = group.index(s)
+            defect = np.abs(stack @ stack[j] - stack[group.point_rank(pts[:, pts[j]])])
+            worst = defect.max(axis=(1, 2))
+            if worst.max() > EPS:
+                g = group.elements[int(np.argmax(worst))]
+                raise RepresentationDefectError(
+                    f"{self.name}: homomorphism defect {worst.max():.3e} at {g} * {s}"
+                )
 
 
 class Irrep(MatrixRep):
@@ -289,12 +279,10 @@ def _yor_stacks(n: int, shapes) -> list[np.ndarray]:
     group = cached_group(f"sym:{n}")
     pts = group.point_images()
     order, width = pts.shape
-    # generator i is the adjacent transposition (i, i+1), with point row
-    # images[i]; the point row of g * s_i is g's row indexed by images[i]
-    gens = max(n - 1, 0)
-    images = np.tile(np.arange(n), (gens, 1))
-    for i in range(gens):
-        images[i, i : i + 2] = (i + 1, i)
+    # generator i is s_i = (i, i+1), with point row images[i]; the point row
+    # of g * s_i is g's row indexed by images[i]
+    images = pts[[group.index(s) for s in group.generators()]]
+    gens = len(images)
     e = group.index(group.identity())
     seen = np.zeros(order, dtype=bool)
     seen[e] = True

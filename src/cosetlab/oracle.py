@@ -7,10 +7,10 @@ test, and total variation is a literal sum of absolute differences.  No
 character tables and no isotypic machinery enter, so agreement with the
 formula modules is evidence rather than circularity.
 
-Matrices of group elements are re-derived by multiplying generator matrices
-along a word for the element (adjacent transpositions for S_n; the
-single-block transpositions plus the block swap for W(n)) instead of reading
-an irrep's cached per-element stack, which decouples failure modes.
+Matrices of group elements are re-derived by multiplying the matrices of the
+group's generators() along a word for the element (generator_word) instead
+of reading an irrep's cached per-element stack, which decouples failure
+modes.
 """
 
 from __future__ import annotations
@@ -48,14 +48,22 @@ def transposition_word(perm: Permutation) -> tuple[int, ...]:
     return tuple(reversed(suffix))
 
 
-def _adjacent_transposition(n: int, i: int) -> Permutation:
-    images = list(range(n))
-    images[i], images[i + 1] = images[i + 1], images[i]
-    return Permutation(tuple(images))
+def generator_word(g) -> tuple[int, ...]:
+    """Positions in the group's generators() whose product, left to right,
+    is g: the transposition word of a permutation; for a wreath element
+    the word of alpha, then that of beta offset past the n-1 alpha moves,
+    then the swap, the last generator, when the flip is set."""
+    if isinstance(g, Permutation):
+        return transposition_word(g)
+    if isinstance(g, WreathElement):
+        shift = max(g.degree - 1, 0)
+        beta = tuple(shift + i for i in transposition_word(g.beta))
+        return transposition_word(g.alpha) + beta + (2 * shift,) * g.flip
+    raise TypeError(f"unsupported element type {type(g)!r}")
 
 
 def rebuilt_matrix(rep, g) -> np.ndarray:
-    """rep(g) from generator matrices along a word for g.
+    """rep(g) from generator matrices along generator_word(g).
 
     For Irrep inputs this never touches the cached stack entry for g, only
     the generator entries.  Composite MatrixRep fixtures (direct sums and
@@ -63,24 +71,13 @@ def rebuilt_matrix(rep, g) -> np.ndarray:
     """
     if not isinstance(rep, Irrep):
         return rep.matrix(g)
-    if isinstance(g, Permutation):
-        n = g.degree
-        out = np.eye(rep.dim)
-        for i in transposition_word(g):
-            out = out @ rep.matrix(_adjacent_transposition(n, i))
-        return out
-    if isinstance(g, WreathElement):
-        n = g.degree
-        e = Permutation.identity(n)
-        out = np.eye(rep.dim)
-        for i in transposition_word(g.alpha):
-            out = out @ rep.matrix(WreathElement(_adjacent_transposition(n, i), e, 0))
-        for i in transposition_word(g.beta):
-            out = out @ rep.matrix(WreathElement(e, _adjacent_transposition(n, i), 0))
-        if g.flip:
-            out = out @ rep.matrix(WreathElement(e, e, 1))
-        return out
-    raise TypeError(f"unsupported element type {type(g)!r}")
+    word = generator_word(g)
+    rep.group.index(g)  # an element of another group is a GroupMismatchError
+    gens = rep.group.generators()
+    out = np.eye(rep.dim)
+    for i in word:
+        out = out @ rep.matrix(gens[i])
+    return out
 
 
 def _tensor_matrix(registers, m, subset=None) -> np.ndarray:

@@ -184,14 +184,44 @@ def test_classes_match_the_object_level_orbit_loop(spec):
         assert (grp.class_indices()[[grp.index(g) for g in cls.members]] == i).all()
 
 
+@pytest.mark.parametrize(
+    "spec", [f"sym:{n}" for n in range(8)] + [f"wreath:{n}" for n in range(5)])
+def test_generators_generate_the_group(spec):
+    grp = cached_group(spec)
+    pts = grp.point_images()
+    gens = pts[[grp.index(s) for s in grp.generators()]]
+    seen = np.zeros(grp.order, dtype=bool)
+    frontier = np.array([grp.index(grp.identity())])
+    seen[frontier] = True
+    while frontier.size:
+        rows = pts[frontier][:, gens].reshape(frontier.size * len(gens), pts.shape[1])
+        kids = grp.point_rank(rows)
+        frontier = np.unique(kids[~seen[kids]])
+        seen[frontier] = True
+    assert seen.all()
+
+
+def test_generators_are_listed_in_the_documented_order():
+    s0, s1 = parse_permutation("[1,0,2]"), parse_permutation("[0,2,1]")
+    e = Permutation.identity(3)
+    assert SymmetricGroup(3).generators() == (s0, s1)
+    assert SymmetricGroup(1).generators() == ()
+    assert WreathGroup(3).generators() == (
+        WreathElement(s0, e, 0), WreathElement(s1, e, 0),
+        WreathElement(e, s0, 0), WreathElement(e, s1, 0), WreathElement.swap(3))
+    assert WreathGroup(0).generators() == (WreathElement.swap(0),)
+
+
 @pytest.mark.parametrize("spec", ["sym:0", "sym:4", "wreath:0", "wreath:2", "wreath:3"])
 def test_multiplication_table_is_the_product_index(spec):
+    # The point row of g * h is g's row indexed by h's row: the products
+    # that MatrixRep.check and the Young walk take with every generator h.
     grp = group_from_spec(spec)
     els = grp.elements
-    expected = [[grp.index(g * h) for h in els] for g in els]
-    table = grp.multiplication_table()
-    assert table.dtype == np.int32
-    assert table.tolist() == expected
+    pts = grp.point_images()
+    for j, h in enumerate(els):
+        got = grp.point_rank(pts[:, pts[j]])
+        assert got.tolist() == [grp.index(g * h) for g in els]
 
 
 def _action(g):

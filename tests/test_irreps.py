@@ -41,7 +41,7 @@ def test_yor_21_adjacent_swap_is_diag_1_minus1():
 
 
 def test_yor_traces_match_characters():
-    for n in range(6):
+    for n in range(7):
         for lam in partitions(n):
             rep = young_orthogonal_rep(lam)
             rep.check()
@@ -126,7 +126,7 @@ def test_wreath_irrep_dimensions(n):
     assert sum(d * d for d in dims) == WreathGroup(n).order
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_wreath_irreps_pass_all_checks(n):
     for ir in wreath_irreps(n):
         ir.check()
@@ -272,6 +272,18 @@ def test_rep_check_detects_broken_homomorphism():
     broken[3] = np.eye(2)
     with pytest.raises(RepresentationDefectError):
         MatrixRep(rep.group, broken, name="broken").check()
+
+
+def test_rep_check_finds_a_defect_at_any_element():
+    # Conjugating one entry by an orthogonal q keeps it orthogonal with the
+    # same trace, but breaks the homomorphism at that element only.
+    ir = next(ir for ir in wreath_irreps(4) if ir.name == "{[3,1],[2,1,1]}")
+    q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((ir.dim, ir.dim)))
+    broken = ir.stack.copy()
+    broken[281] = q @ broken[281] @ q.T
+    assert np.allclose(np.trace(broken[281]), np.trace(ir.stack[281]))
+    with pytest.raises(RepresentationDefectError, match="homomorphism defect"):
+        MatrixRep(ir.group, broken, name="broken").check()
 
 
 def test_group_irreps_dispatch():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from cosetlab.distributions import SamplingDistribution
-from cosetlab.errors import CapExceededError, OutcomeMismatchError
-from cosetlab.groups import cached_group, parse_cycles
+from cosetlab.errors import CapExceededError, GroupMismatchError, OutcomeMismatchError
+from cosetlab.groups import WreathElement, cached_group, parse_cycles
 from cosetlab.irreps import (
     class_character,
     character_table,
@@ -20,6 +20,7 @@ from cosetlab.oracle import (
     equality_result,
     exact_result,
     exact_tv,
+    generator_word,
     inequality_result,
     rebuilt_matrix,
     transposition_word,
@@ -34,17 +35,17 @@ def transposition_class(n):
 
 
 def test_transposition_word_reconstructs_elements():
-    grp = cached_group("sym:4")
-    for g in grp.elements:
-        acc = grp.identity()
-        n = grp.n
-        for i in transposition_word(g):
-            images = list(range(n))
-            images[i], images[i + 1] = images[i + 1], images[i]
-            from cosetlab.groups import Permutation
-
-            acc = acc * Permutation(tuple(images))
-        assert acc == g
+    for spec in ("sym:0", "sym:4", "wreath:0", "wreath:1", "wreath:3"):
+        grp = cached_group(spec)
+        gens = grp.generators()
+        for g in grp.elements:
+            word = generator_word(g)
+            if spec.startswith("sym"):
+                assert word == transposition_word(g)
+            acc = grp.identity()
+            for i in word:
+                acc = acc * gens[i]
+            assert acc == g
 
 
 def test_rebuilt_matrix_matches_stack_sym():
@@ -57,6 +58,14 @@ def test_rebuilt_matrix_matches_stack_wreath():
     for ir in wreath_irreps(2):
         for g in ir.group.elements:
             assert np.allclose(rebuilt_matrix(ir, g), ir.matrix(g), atol=1e-12)
+
+
+def test_rebuilt_matrix_rejects_an_element_of_another_group():
+    rep = young_orthogonal_rep((2, 1))
+    with pytest.raises(GroupMismatchError):
+        rebuilt_matrix(rep, parse_cycles("(01)", 4))
+    with pytest.raises(GroupMismatchError):
+        rebuilt_matrix(wreath_irreps(3)[0], WreathElement.swap(2))
 
 
 def test_overlap_trivial_rep_is_one():
