@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -171,20 +172,31 @@ def brute_induced_rep(n: int, rho, sigma) -> MatrixRep:
     grp = cached_group(f"wreath:{n}")
     rep_r = young_orthogonal_rep(rho)
     rep_s = young_orthogonal_rep(sigma)
-    reps = [grp.identity(), grp.swap_element()]
     m = rep_r.dim * rep_s.dim
     dim = 2 * m
     stack = np.zeros((grp.order, dim, dim))
-    for gi, g in enumerate(grp.elements):
-        for i, ri in enumerate(reps):
-            for j, rj in enumerate(reps):
-                h = ri.inverse() * g * rj
-                if h.flip == 0:
-                    stack[gi, i * m : (i + 1) * m, j * m : (j + 1) * m] = np.kron(
-                        rep_r.matrix(h.alpha), rep_s.matrix(h.beta)
-                    )
+    for gi, blocks in enumerate(_coset_products(n)):
+        for i, j, h in blocks:
+            stack[gi, i * m : (i + 1) * m, j * m : (j + 1) * m] = np.kron(
+                rep_r.matrix(h.alpha), rep_s.matrix(h.beta)
+            )
     name = "induced{" + partition_str(rho) + "," + partition_str(sigma) + "}"
     return MatrixRep(grp, stack, name=name)
+
+
+@lru_cache(maxsize=None)
+def _coset_products(n: int) -> tuple:
+    """Per element g of wreath:n, in element order: (i, j, r_i^-1 * g * r_j)
+    for the coset representatives r_0 = identity and r_1 = s, keeping the
+    products of flip 0.  They depend on n only, not on the induced irreps."""
+    grp = cached_group(f"wreath:{n}")
+    reps = [grp.identity(), grp.swap_element()]
+    inverses = [r.inverse() for r in reps]
+    return tuple(
+        tuple((i, j, h) for i, inv in enumerate(inverses)
+              for j, rj in enumerate(reps) if (h := inv * g * rj).flip == 0)
+        for g in grp.elements
+    )
 
 
 def exact_tv(p: SamplingDistribution, q: SamplingDistribution):

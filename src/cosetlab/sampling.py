@@ -25,8 +25,11 @@ action of the group on the chosen registers:
   doubled_expectation(I1, I2)  the same on b (x) conj(b), carried as the
                                rank-one matrix W = b b^dagger so that no
                                D^2 x D^2 matrix is ever materialized.  Its
-                               kernel forms g^I1 W once per row of I2s and
-                               applies g^I on I's first to last registers.
+                               kernel computes a whole (I1s x I2s) grid in
+                               one walk over chunks of elements: per chunk
+                               each subset's span stack is built once, g^I1
+                               W is formed once per I1, and g^I is applied
+                               on I's first to last registers only.
 
 These give exact mean / variance identities for the measured mass
 ||Pi_m^(x)k b||^2 as m ranges over M, which is what the distinguishability
@@ -72,6 +75,9 @@ PAIR_CAP = 4 ** 6
 # Above this many stacked entries (|G| * D^2) the subset action falls back to
 # a per-element loop instead of a dense Kronecker stack.
 _DENSE_LIMIT = 1 << 25
+# The doubled kernel walks the group in chunks of at most this many
+# elements * D^2 entries.
+_CHUNK_ENTRIES = 1 << 14
 
 
 # ---------------------------------------------------------------------------
@@ -358,42 +364,50 @@ def subsets(k: int, nonempty: bool = False):
     return out
 
 
-def _span_stack(registers: RegisterTuple, subset, start: int, stop: int) -> np.ndarray:
-    """Dense (|G|, D', D') stack of g acting on the subset registers among
+def _span_stack(stacks, subset, start: int, stop: int) -> np.ndarray:
+    """Dense (c, D', D') stack of g acting on the subset registers among
     start .. stop - 1 and as the identity on the others there, D' the product
-    of their dimensions.  start 0, stop k gives g^subset on the whole tuple."""
-    order = registers.group.order
-    stack = np.ones((order, 1, 1))
-    for i, rep in enumerate(registers.irreps[start:stop], start):
-        fac = (rep.stack if i in subset
-               else np.broadcast_to(np.eye(rep.dim), rep.stack.shape))
-        d = stack.shape[1] * rep.dim
-        stack = np.einsum("gij,gkl->gikjl", stack, fac).reshape(order, d, d)
+    of their dimensions, for the c elements whose register matrices are the
+    (c, d_i, d_i) `stacks`.  start 0, stop k gives g^subset on the whole
+    tuple."""
+    count = len(stacks[0])
+    stack = np.ones((count, 1, 1))
+    for i, fac in enumerate(stacks[start:stop], start):
+        if i not in subset:
+            fac = np.broadcast_to(np.eye(fac.shape[1]), fac.shape)
+        d = stack.shape[1] * fac.shape[1]
+        stack = np.einsum("gij,gkl->gikjl", stack, fac).reshape(count, d, d)
     return stack
 
 
-def _apply_subset(registers: RegisterTuple, subset, x: np.ndarray,
-                  conj: bool) -> np.ndarray:
-    """(|G|, R * D * t): g^subset (conjugated if conj) for every g on the
-    register index of x, a (1 or |G|, R, D * t) array whose last axis is that
-    index followed by t entries, by one batched matmul of a reshaped view of x
-    with the span stack from the subset's first register to its last.  The
-    dense stack's other entries only add exact-zero terms and factors of 1.0
-    to each BLAS sum, so the result has the dense product's bits."""
-    start, stop = (subset[0], subset[-1] + 1) if subset else (0, 0)
-    if start and x.shape[-1] == registers.total_dim:
-        # a middle block uses the first form below, K spanning to the last register
-        stop = registers.k
-    K = _span_stack(registers, subset, start, stop)
-    K = K.conj() if conj else K
-    pre = prod(registers.dims[:start])
+def _subset_span(subset, k: int, columns: bool) -> tuple[int, int]:
+    """(start, stop): the registers that _apply_subset's span stack for
+    `subset` covers, from the subset's first register to its last.  On the
+    column index of a (c, D, D) array (columns) a block that starts past
+    register 0 spans to the last register, so that _apply_subset takes its
+    x @ K^T form there."""
+    if not subset:
+        return 0, 0
+    start = subset[0]
+    return (start, k) if start and columns else (start, subset[-1] + 1)
+
+
+def _apply_subset(dims, subset, x: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """(c, R * D * t): g^subset for each of c elements on the register index
+    of x, a (1 or c, R, D * t) array whose last axis is that index followed
+    by t entries, by one batched matmul of a reshaped view of x with K, the
+    (c, D', D') span stack over _subset_span's registers (conjugated for
+    conj(g^subset)).  The dense stack's other entries only add exact-zero
+    terms and factors of 1.0 to each BLAS sum, so the result has the dense
+    product's bits."""
+    pre = prod(dims[:subset[0]]) if subset else 1
     rows, post = x.shape[1] * pre, x.shape[-1] // (pre * K.shape[1])
     if post == 1:
-        # nothing after the block: x.reshape(g, R * pre, D_span) @ K^T.  The other
+        # nothing after the block: x.reshape(c, R * pre, D_span) @ K^T.  The other
         # form would be a one-column product, which goes through gemv: other bits
         y = x.reshape(-1, rows, K.shape[1]) @ K.swapaxes(1, 2)
     else:
-        # entries after the block: K[:, None] @ x.reshape(g, R * pre, D_span, post)
+        # entries after the block: K[:, None] @ x.reshape(c, R * pre, D_span, post)
         y = K[:, None] @ x.reshape(-1, rows, K.shape[1], post)
     return y.reshape(len(K), -1)
 
@@ -417,7 +431,8 @@ def _subset_overlap_buckets(registers: RegisterTuple, subset,
     group = registers.group
     D = registers.total_dim
     if group.order * D * D <= _DENSE_LIMIT:
-        stack = _span_stack(registers, subset, 0, registers.k)
+        stacks = [rep.stack for rep in registers.irreps]
+        stack = _span_stack(stacks, subset, 0, registers.k)
         per = np.einsum("i,gij,j->g", b.conj(), stack, b)
     else:
         per = np.empty(group.order, dtype=np.complex128)
@@ -456,31 +471,52 @@ def isotypic_masses(registers: RegisterTuple, subset, b: np.ndarray) -> np.ndarr
     return _masses_from_buckets(registers.group, buckets)
 
 
-def doubled_isotypic_masses(registers: RegisterTuple, first, seconds,
+def doubled_isotypic_masses(registers: RegisterTuple, firsts, seconds,
                             b: np.ndarray) -> np.ndarray:
     """||J_sigma (b (x) conj(b))||^2 per sigma, in label order, on the doubled
     space, where g acts by g^first on the left factor and conj(g^second) on
-    the right: one row per subset in `seconds`.  left = g^first W (W = b
-    b^dagger) is formed once; each row applies conj(g^second) to its columns
-    and contracts with conj(W).  Both actions go block by block through
-    _apply_subset, so each row has the bits of numpy's einsum
-    "gik,kl,gjl,ij->g" on the dense stacks."""
+    the right: a (len(firsts), len(seconds), irreps) grid.
+
+    The group is walked in chunks of at most _CHUNK_ENTRIES elements * D^2
+    entries.  In a chunk each subset's span stack is built once; for each
+    first, left = g^first W (W = b b^dagger) is formed once, and each second
+    applies conj(g^second) to its columns and contracts with conj(W), giving
+    per-element values.  The masses come from their class buckets after the
+    last chunk.  Both actions go block by block through _apply_subset and
+    every product keeps its per-element shape, so each grid entry has the
+    bits of numpy's einsum "gik,kl,gjl,ij->g" on the dense stacks."""
     D = registers.total_dim
     if D * D > registers.tensor_cap:
         raise CapExceededError(
             f"doubled dimension {D * D} exceeds cap {registers.tensor_cap}"
         )
-    group = registers.group
+    group, k, dims = registers.group, registers.k, registers.dims
     w = np.outer(b, b.conj())
-    left = _apply_subset(registers, first, w.reshape(1, 1, -1), False)
     right = w.conj().reshape(-1)
-    out = np.empty((len(seconds), len(character_table(group).dims)))
-    for row, second in enumerate(seconds):
-        y = _apply_subset(registers, second, left.reshape(-1, D, D), True)
-        # at D = 1 numpy's einsum is an elementwise product; a matmul has other bits
-        per = y @ right if D > 1 else y[:, 0] * right
-        del y  # free each row's (|G|, D, D) intermediate before the next row
-        out[row] = _masses_from_buckets(group, _bucket_by_class(group, per))
+    per = np.empty((len(firsts), len(seconds), group.order), dtype=np.complex128)
+    step = max(1, _CHUNK_ENTRIES // (D * D))
+    for lo in range(0, group.order, step):
+        chunk = slice(lo, lo + step)
+        stacks = [rep.stack[chunk] for rep in registers.irreps]
+        rows = {s: _span_stack(stacks, s, *_subset_span(s, k, False)) for s in firsts}
+        cols = {s: _span_stack(stacks, s, *_subset_span(s, k, True)).conj()
+                for s in seconds}
+        for i, first in enumerate(firsts):
+            left = _apply_subset(dims, first, w.reshape(1, 1, -1), rows[first])
+            left = left.reshape(-1, D, D)
+            for j, second in enumerate(seconds):
+                y = _apply_subset(dims, second, left, cols[second])
+                if D == 1:
+                    # numpy's einsum is an elementwise product; a matmul has other bits
+                    per[i, j, chunk] = y[:, 0] * right
+                    continue
+                if len(y) == 1:
+                    # a one-row matmul is a dot product, with other bits than gemv
+                    y = np.concatenate((y, y))
+                per[i, j, chunk] = (y @ right)[:len(left)]
+    out = np.empty((len(firsts), len(seconds), len(character_table(group).dims)))
+    for i, j in np.ndindex(out.shape[:2]):
+        out[i, j] = _masses_from_buckets(group, _bucket_by_class(group, per[i, j]))
     return out
 
 
@@ -507,20 +543,20 @@ def normalized_characters(group: FiniteGroup, M: ConjugacyClass) -> tuple[Fracti
 def subset_expectation(registers: RegisterTuple, b: np.ndarray, subset,
                        M: ConjugacyClass) -> float:
     """E^I: the average over m in M of <b, m^I b>, computed spectrally."""
-    return _class_average(registers, M, isotypic_masses(registers, subset, b))
+    ratios = normalized_characters(registers.group, M)
+    return _class_average(ratios, isotypic_masses(registers, subset, b))
 
 
 def doubled_expectation(registers: RegisterTuple, b: np.ndarray, first, second,
                         M: ConjugacyClass) -> float:
     """E^{I1,I2}: the doubled-space analogue on b (x) conj(b)."""
-    masses = doubled_isotypic_masses(registers, first, [second], b)[0]
-    return _class_average(registers, M, masses)
+    masses = doubled_isotypic_masses(registers, [first], [second], b)[0, 0]
+    return _class_average(normalized_characters(registers.group, M), masses)
 
 
-def _class_average(registers: RegisterTuple, M: ConjugacyClass,
-                   masses: np.ndarray) -> float:
-    """sum over sigma of (chi_sigma(M)/d_sigma) * masses[sigma]."""
-    ratios = normalized_characters(registers.group, M)
+def _class_average(ratios, masses: np.ndarray) -> float:
+    """sum over sigma of ratios[sigma] * masses[sigma], ratios being the
+    normalized_characters chi_sigma(M)/d_sigma."""
     return float(sum(float(c) * m for c, m in zip(ratios, masses.tolist()) if c))
 
 
@@ -547,10 +583,12 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     k = registers.k
     _check_pair_cap(k)
     subs = subsets(k, nonempty=True)
-    lin = sum(subset_expectation(registers, b, s, M) for s in subs)
+    ratios = normalized_characters(registers.group, M)
+    lin = sum(_class_average(ratios, isotypic_masses(registers, s, b)) for s in subs)
+    grid = doubled_isotypic_masses(registers, subs, subs, b)
     doubled_terms = {
-        (s1, s2): _class_average(registers, M, masses) for s1 in subs
-        for s2, masses in zip(subs, doubled_isotypic_masses(registers, s1, subs, b))
+        (s1, s2): _class_average(ratios, masses)
+        for s1, row in zip(subs, grid) for s2, masses in zip(subs, row)
     }
     raw = sum(doubled_terms.values())
     mean = (1.0 + lin) / 2 ** k
@@ -592,9 +630,8 @@ def projector_sum_bound(registers: RegisterTuple, sigma,
     _check_pair_cap(k)
     all_subs = subsets(k)
     lhs = 0.0
-    for s1 in all_subs:
-        for masses in doubled_isotypic_masses(registers, s1, all_subs, b):
-            lhs += masses[i]
+    for mass in doubled_isotypic_masses(registers, all_subs, all_subs, b)[:, :, i].flat:
+        lhs += mass
     inner = 0.0
     for s in all_subs:
         masses = isotypic_masses(registers, s, b)

@@ -491,6 +491,33 @@ def test_console_script():
     assert json.loads(proc.stdout)["all_pass"]
 
 
+_IMPORT_PROBE = """
+import json, sys
+import cosetlab.cli
+caches = {}
+for name, module in list(sys.modules.items()):
+    if name.startswith("cosetlab"):
+        for owner in [module, *(v for v in vars(module).values() if isinstance(v, type))]:
+            for fn in vars(owner).values():
+                if hasattr(fn, "cache_info"):
+                    caches[f"{fn.__module__}.{fn.__qualname__}"] = fn.cache_info().currsize
+print(json.dumps({"caches": caches, "futures": "concurrent.futures" in sys.modules}))
+"""
+
+
+def test_importing_the_cli_fills_no_cache_and_starts_no_pool():
+    # import-time work shows up in every command's start-up time
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_PROBE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    got = json.loads(proc.stdout)
+    assert got["futures"] is False
+    caches = got["caches"]
+    assert caches["cosetlab.groups.cached_group"] == 0
+    assert caches["cosetlab.oracle._coset_products"] == 0
+    assert {name: size for name, size in caches.items() if size} == {}
+
+
 def test_bounds_tensor_cap_fails_before_any_work(monkeypatch, capsys):
     from cosetlab import bounds, rng
     from cosetlab.rng import CounterRng

@@ -132,6 +132,32 @@ def len_dim(lam):
     return dimension(lam)
 
 
+def _literal_induced_stack(n, rho, sigma):
+    """brute_induced_rep's stack with every coset product formed for this
+    (rho, sigma), as the oracle did before it cached them per n."""
+    grp = cached_group(f"wreath:{n}")
+    rep_r, rep_s = young_orthogonal_rep(rho), young_orthogonal_rep(sigma)
+    reps = [grp.identity(), grp.swap_element()]
+    m = rep_r.dim * rep_s.dim
+    stack = np.zeros((grp.order, 2 * m, 2 * m))
+    for gi, g in enumerate(grp.elements):
+        for i, ri in enumerate(reps):
+            for j, rj in enumerate(reps):
+                h = ri.inverse() * g * rj
+                if h.flip == 0:
+                    stack[gi, i * m:(i + 1) * m, j * m:(j + 1) * m] = np.kron(
+                        rep_r.matrix(h.alpha), rep_s.matrix(h.beta))
+    return stack
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cached_coset_products_give_the_literal_induced_stacks(n):
+    for rho in partitions(n):
+        for sigma in partitions(n):
+            got = brute_induced_rep(n, rho, sigma).stack
+            assert np.array_equal(got, _literal_induced_stack(n, rho, sigma))
+
+
 def test_induced_rep_cap():
     with pytest.raises(CapExceededError):
         brute_induced_rep(4, (4,), (3, 1))

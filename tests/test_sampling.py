@@ -625,14 +625,15 @@ def test_expected_isotypic_dimension_guards(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The row-batched doubled kernel against the four-operand einsum, pair by pair
+# The element-chunked doubled grid against the four-operand einsum, pair by pair
 
 def _four_operand_masses(regs, first, second, b):
     """Per-element doubled overlaps and the isotypic masses from them, with
     both subset stacks and one einsum per (first, second) pair."""
     w = np.outer(b, b.conj())
-    s1 = sampling._span_stack(regs, first, 0, regs.k)
-    s2 = sampling._span_stack(regs, second, 0, regs.k)
+    stacks = [rep.stack for rep in regs.irreps]
+    s1 = sampling._span_stack(stacks, first, 0, regs.k)
+    s2 = sampling._span_stack(stacks, second, 0, regs.k)
     per = np.einsum("gik,kl,gjl,ij->g", s1, w, s2.conj(), w.conj(), optimize=True)
     group = regs.group
     buckets = sampling._bucket_by_class(group, per)
@@ -652,25 +653,42 @@ DOUBLED_CASES = [(g, k, stream) for g in (W2, W3, S4) for k in (1, 2, 3)
                  for stream in range(3)] + [(W2, 4, stream) for stream in range(3)]
 
 
-@pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
-def test_doubled_rows_have_the_bits_of_the_four_operand_einsum(
-        monkeypatch, group, k, stream):
-    regs, b = _random_registers(group, k, stream)
-    all_subs = subsets(k)
-    want = {(s1, s2): _four_operand_masses(regs, s1, s2, b)
-            for s1 in all_subs for s2 in all_subs}
+def _assert_grid_has_the_pinned_bits(monkeypatch, regs, b):
+    """The whole subset grid in one call: each entry's per-element values and
+    masses equal the four-operand einsum's with np.array_equal."""
+    all_subs = subsets(regs.k)
     seen = []
     bucket = sampling._bucket_by_class
     monkeypatch.setattr(sampling, "_bucket_by_class",
                         lambda grp, per: seen.append(per) or bucket(grp, per))
-    for first in all_subs:
-        seen.clear()
-        rows = sampling.doubled_isotypic_masses(regs, first, all_subs, b)
-        assert rows.shape == (len(all_subs), len(group_irreps(group)))
-        for second, per, row in zip(all_subs, seen, rows, strict=True):
-            want_per, want_row = want[first, second]
-            assert np.array_equal(per, want_per)
-            assert np.array_equal(row, want_row)
+    grid = sampling.doubled_isotypic_masses(regs, all_subs, all_subs, b)
+    monkeypatch.setattr(sampling, "_bucket_by_class", bucket)
+    assert grid.shape == (len(all_subs), len(all_subs), len(group_irreps(regs.group)))
+    pairs = [(s1, s2) for s1 in all_subs for s2 in all_subs]
+    for (s1, s2), per, row in zip(pairs, seen, grid.reshape(len(pairs), -1),
+                                  strict=True):
+        want_per, want_row = _four_operand_masses(regs, s1, s2, b)
+        assert np.array_equal(per, want_per), (s1, s2)
+        assert np.array_equal(row, want_row), (s1, s2)
+
+
+@pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
+def test_doubled_rows_have_the_bits_of_the_four_operand_einsum(
+        monkeypatch, group, k, stream):
+    _assert_grid_has_the_pinned_bits(monkeypatch, *_random_registers(group, k, stream))
+
+
+# chunks of 1 element (each a one-row contraction), of 5 (a ragged last
+# chunk of 3, 4 or 2 elements at |G| = 8, 24 or 72) and of the whole group
+@pytest.mark.parametrize("elements", [1, 5, None])
+@pytest.mark.parametrize("group,k,stream",
+                         [(g, k, 0) for g in (W2, W3, S4) for k in (1, 2, 3)])
+def test_doubled_grid_keeps_its_bits_at_every_chunk_size(
+        monkeypatch, group, k, stream, elements):
+    regs, b = _random_registers(group, k, stream)
+    count = group.order if elements is None else elements
+    monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", count * regs.total_dim ** 2)
+    _assert_grid_has_the_pinned_bits(monkeypatch, regs, b)
 
 
 @pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
@@ -706,24 +724,24 @@ def test_doubled_cap_is_checked_before_any_stack(monkeypatch):
     regs = RegisterTuple.from_labels(W3, ["{[3],[2,1]}", "{[3],[2,1]}"], tensor_cap=100)
     b = CounterRng(59).unit_vector(regs.total_dim)
     with pytest.raises(CapExceededError):
-        sampling.doubled_isotypic_masses(regs, (0,), [(0,), (1,)], b)
+        sampling.doubled_isotypic_masses(regs, [(0,)], [(0,), (1,)], b)
     with pytest.raises(CapExceededError):
         doubled_expectation(regs, b, (0,), (1,), involution_class(W3))
 
 
 def test_doubled_kernel_peaks_no_higher_than_the_dense_stacks():
-    # 16.7 MB is the peak of the dense-stack kernel measured the same way
+    # the whole 8 x 8 grid at D = 64 peaks at 1.83 MB measured this way; the
+    # dense-stack kernel peaked at 16.7 MB for one row of 8
     regs = RegisterTuple.from_labels(W3, ["{[3],[2,1]}"] * 3)
     b = CounterRng(61).unit_vector(regs.total_dim)
-    sampling.doubled_isotypic_masses(regs, (), [()], b)  # fills the group's caches
-    for first in subsets(3):
-        tracemalloc.start()
-        try:
-            sampling.doubled_isotypic_masses(regs, first, subsets(3), b)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 16.7e6, (first, peak)
+    sampling.doubled_isotypic_masses(regs, [()], [()], b)  # fills the group's caches
+    tracemalloc.start()
+    try:
+        sampling.doubled_isotypic_masses(regs, subsets(3), subsets(3), b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2e6, peak
 
 
 _DOUBLED_THREAD_PROBE = """
@@ -734,9 +752,8 @@ from cosetlab.rng import CounterRng
 from cosetlab.sampling import RegisterTuple, doubled_isotypic_masses, subsets
 regs = RegisterTuple.from_labels(cached_group("wreath:3"), ["{[3],[2,1]}"] * 3)
 b = CounterRng(67).unit_vector(64)
-for first in subsets(3):
-    rows = doubled_isotypic_masses(regs, first, subsets(3), b)
-    print(first, hashlib.sha256(rows.tobytes()).hexdigest())
+grid = doubled_isotypic_masses(regs, subsets(3), subsets(3), b)
+print(hashlib.sha256(grid.tobytes()).hexdigest())
 sys.exit(main(["verify", "--lemma", "multiregister", "--group", "wreath:3",
                "--k", "3", "--trials", "3", "--seed", "0"]))
 """
