@@ -27,18 +27,13 @@ def json_text(payload: dict) -> str:
 
 
 def csv_text(rows: list[dict]) -> str:
+    """The rows as CSV under the first row's keys; every row has those keys."""
     if not rows:
         return ""
-    fields = list(rows[0].keys())
-    for row in rows[1:]:
-        for key in row:
-            if key not in fields:
-                fields.append(key)
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\r\n")
+    writer = csv.DictWriter(buf, fieldnames=list(rows[0]), lineterminator="\r\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow({k: row.get(k, "") for k in fields})
+    writer.writerows(rows)
     return buf.getvalue()
 
 

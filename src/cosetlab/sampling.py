@@ -31,6 +31,10 @@ action of the group on the chosen registers:
                                W is formed once per I1, and g^I is applied
                                on I's first to last registers only.
 
+isotypic_masses and doubled_isotypic_masses take lists of subsets; they
+and claim_projector_average end in _class_masses, which buckets
+per-element values by class and takes one dot product per character row.
+
 These give exact mean / variance identities for the measured mass
 ||Pi_m^(x)k b||^2 as m ranges over M, which is what the distinguishability
 bounds consume.  The functions here only compute: `verify` and the test
@@ -418,57 +422,55 @@ def _check_pair_cap(k: int) -> None:
         raise CapExceededError(f"4^{k} subset pairs exceed cap {PAIR_CAP}")
 
 
-def _bucket_by_class(group: FiniteGroup, per_element: np.ndarray) -> np.ndarray:
-    n_classes = len(group.conjugacy_classes())
-    out = np.zeros(n_classes, dtype=np.complex128)
-    np.add.at(out, group.class_indices(), per_element)
-    return out
-
-
-def _subset_overlap_buckets(registers: RegisterTuple, subset,
-                            b: np.ndarray) -> np.ndarray:
-    """u_c = sum over g in class c of <b, g^subset b>."""
-    group = registers.group
-    D = registers.total_dim
-    if group.order * D * D <= _DENSE_LIMIT:
-        stacks = [rep.stack for rep in registers.irreps]
-        stack = _span_stack(stacks, subset, 0, registers.k)
-        per = np.einsum("i,gij,j->g", b.conj(), stack, b)
-    else:
-        per = np.empty(group.order, dtype=np.complex128)
-        for gi in range(group.order):
-            v = b.reshape(registers.dims)
-            for i in subset:
-                mat = registers.irreps[i].stack[gi]
-                v = np.moveaxis(np.tensordot(mat, v, axes=(1, i)), 0, i)
-            per[gi] = np.vdot(b, v.reshape(-1))
-    return _bucket_by_class(group, per)
-
-
-def _masses_from_buckets(group: FiniteGroup, buckets: np.ndarray) -> np.ndarray:
-    """<b, J_sigma b> per irrep, in label order, from class-bucketed
-    overlaps: one dot product per character table row, whose imaginary part
-    must be within EPS of 0."""
+def _class_masses(group: FiniteGroup, per: np.ndarray) -> np.ndarray:
+    """Isotypic masses (..., irreps), in label order, from per-element
+    values (..., |G|), row by row: np.add.at into class buckets, then
+    d_sigma / |G| times one dot product per character row, whose imaginary
+    part must be within EPS.  Both sides of isotypic_masses's _DENSE_LIMIT
+    fork end here; the fork stays because the dense einsum has the
+    reports' bits and the loop is faster past the limit."""
     table = character_table(group)
     chi = table.chi.astype(np.float64)
     scale = table.dims / group.order
-    out = np.empty(len(chi))
-    for i in range(len(chi)):
-        val = complex(scale[i] * np.dot(chi[i], buckets))
-        if abs(val.imag) > EPS:
-            raise RepresentationDefectError(
-                f"isotypic mass for {table.names[i]} has imaginary part "
-                f"{val.imag:.3e}"
-            )
-        out[i] = val.real
+    classes = group.class_indices()
+    out = np.empty(per.shape[:-1] + (len(chi),))
+    for row in np.ndindex(per.shape[:-1]):
+        buckets = np.zeros(len(chi), dtype=np.complex128)
+        np.add.at(buckets, classes, per[row])
+        for i in range(len(chi)):
+            val = complex(scale[i] * np.dot(chi[i], buckets))
+            if abs(val.imag) > EPS:
+                raise RepresentationDefectError(
+                    f"isotypic mass for {table.names[i]} has imaginary part "
+                    f"{val.imag:.3e}"
+                )
+            out[row + (i,)] = val.real
     return out
 
 
-def isotypic_masses(registers: RegisterTuple, subset, b: np.ndarray) -> np.ndarray:
-    """||J_sigma b||^2 for every irrep sigma, in label order, with g acting
-    on `subset` only."""
-    buckets = _subset_overlap_buckets(registers, tuple(subset), b)
-    return _masses_from_buckets(registers.group, buckets)
+def isotypic_masses(registers: RegisterTuple, subsets, b: np.ndarray) -> np.ndarray:
+    """||J_sigma b||^2 per sigma, in label order, with g acting by g^subset:
+    a (len(subsets), irreps) array from the overlaps <b, g^subset b>.
+
+    Up to _DENSE_LIMIT entries (|G| * D^2) a subset's overlaps are one
+    einsum over its dense stack, whose bits the verify reports print; past
+    it a per-element tensordot loop, which is faster there and never holds
+    the stack, so both forks stay."""
+    group, D = registers.group, registers.total_dim
+    stacks = [rep.stack for rep in registers.irreps]
+    per = np.empty((len(subsets), group.order), dtype=np.complex128)
+    for row, subset in zip(per, subsets):
+        if group.order * D * D <= _DENSE_LIMIT:
+            # no name holds the stack, so the last one is freed before the next
+            row[:] = np.einsum("i,gij,j->g", b.conj(),
+                               _span_stack(stacks, subset, 0, registers.k), b)
+            continue
+        for gi in range(group.order):
+            v = b.reshape(registers.dims)
+            for i in subset:
+                v = np.moveaxis(np.tensordot(stacks[i][gi], v, axes=(1, i)), 0, i)
+            row[gi] = np.vdot(b, v.reshape(-1))
+    return _class_masses(group, per)
 
 
 def doubled_isotypic_masses(registers: RegisterTuple, firsts, seconds,
@@ -514,10 +516,7 @@ def doubled_isotypic_masses(registers: RegisterTuple, firsts, seconds,
                     # a one-row matmul is a dot product, with other bits than gemv
                     y = np.concatenate((y, y))
                 per[i, j, chunk] = (y @ right)[:len(left)]
-    out = np.empty((len(firsts), len(seconds), len(character_table(group).dims)))
-    for i, j in np.ndindex(out.shape[:2]):
-        out[i, j] = _masses_from_buckets(group, _bucket_by_class(group, per[i, j]))
-    return out
+    return _class_masses(group, per)
 
 
 # ---------------------------------------------------------------------------
@@ -544,7 +543,7 @@ def subset_expectation(registers: RegisterTuple, b: np.ndarray, subset,
                        M: ConjugacyClass) -> float:
     """E^I: the average over m in M of <b, m^I b>, computed spectrally."""
     ratios = normalized_characters(registers.group, M)
-    return _class_average(ratios, isotypic_masses(registers, subset, b))
+    return _class_average(ratios, isotypic_masses(registers, [subset], b)[0])
 
 
 def doubled_expectation(registers: RegisterTuple, b: np.ndarray, first, second,
@@ -584,7 +583,8 @@ def interference_moments(registers: RegisterTuple, b: np.ndarray,
     _check_pair_cap(k)
     subs = subsets(k, nonempty=True)
     ratios = normalized_characters(registers.group, M)
-    lin = sum(_class_average(ratios, isotypic_masses(registers, s, b)) for s in subs)
+    lin = sum(_class_average(ratios, masses)
+              for masses in isotypic_masses(registers, subs, b))
     grid = doubled_isotypic_masses(registers, subs, subs, b)
     doubled_terms = {
         (s1, s2): _class_average(ratios, masses)
@@ -606,12 +606,10 @@ def claim_projector_average(rep: MatrixRep, b: np.ndarray) -> tuple[float, float
     """lhs: exact average over ALL g of |<b, g b>|^2.  rhs: the isotypic
     second-moment sum, sum over sigma of ||J_sigma b||^4 / d_sigma.  Returns
     (lhs, rhs); the claim is lhs <= rhs."""
-    group = rep.group
     per = np.einsum("i,gij,j->g", b.conj(), rep.stack, b)
     lhs = float(np.mean(np.abs(per) ** 2))
-    buckets = _bucket_by_class(group, per)
-    masses = _masses_from_buckets(group, buckets)
-    dims = character_table(group).dims.tolist()
+    masses = _class_masses(rep.group, per)
+    dims = character_table(rep.group).dims.tolist()
     rhs = float(sum(m ** 2 / d for m, d in zip(masses.tolist(), dims)))
     return lhs, rhs
 
@@ -633,8 +631,7 @@ def projector_sum_bound(registers: RegisterTuple, sigma,
     for mass in doubled_isotypic_masses(registers, all_subs, all_subs, b)[:, :, i].flat:
         lhs += mass
     inner = 0.0
-    for s in all_subs:
-        masses = isotypic_masses(registers, s, b)
+    for masses in isotypic_masses(registers, all_subs, b):
         inner += sum(m / d for m, d in zip(masses.tolist(), dims))
     rhs = 2 ** k * dims[i] ** 2 * inner
     return float(lhs), float(rhs)

@@ -117,6 +117,14 @@ def test_lambda_cutoff_exact():
         assert lam.numerator ** 5 * n ** n <= lam.denominator ** 5
 
 
+def test_lambda_cutoff_holds_at_exact_equality():
+    # lambda^5 * n^n = 2^-160 * 32^32 = 1 holds; the next larger lambda fails
+    g = cached_group("wreath:2")
+    for lam, holds in ((Fraction(1, 2 ** 32), True), (Fraction(1, 2 ** 32 - 1), False)):
+        bad = bounds.BadSet(g, frozenset(), lam, Fraction(0), complement_empty=False)
+        assert bounds.lambda_cutoff_holds(bad, 32) is holds
+
+
 def test_weak_bound_dominates_exact():
     for n, k in ((2, 1), (2, 2), (3, 1), (3, 2)):
         g, M = _setup(n)
@@ -482,6 +490,35 @@ def test_pipeline_undefined_full_bound_still_reports():
     assert "full_tvd" not in rep["flags"]
     # weak bound 2k(1+0) = 2 still dominates
     assert rep["flags"]["weak_tv"]
+
+
+# the exact-mode flags: (flag, its "exact" key, its bound from the bad set and k)
+_EXACT_LINKS = (
+    ("expectation_tv", "expectation_tv_max", bounds.expectation_tv_bound),
+    ("full_tvd", "full_tv_max", bounds.full_tvd_bound),
+    ("expected_variance", "expected_variance_max", lambda bad, k: bounds.delta(bad)),
+    ("expectation_deviation", "expectation_deviation_max",
+     lambda bad, k: bad.lambda_value + bad.plancherel_mass),
+)
+
+
+@pytest.mark.parametrize("excess,holds", [(bounds.TOL / 2, True), (2 * bounds.TOL, False)])
+def test_exact_mode_flags_forgive_tol_and_no_more(monkeypatch, excess, holds):
+    enumeration = bounds.exact_enumeration
+
+    def over_the_bounds(group, M, k, *args):
+        fields, quantiles = enumeration(group, M, k, *args)
+        bad = bounds.build_bad_set(group, M, bounds.CUTOFF_RULE)
+        for _, key, bound in _EXACT_LINKS:
+            fields[key] = float(bound(bad, k)) + excess
+        return fields, quantiles
+
+    monkeypatch.setattr(bounds, "exact_enumeration", over_the_bounds)
+    rep = bounds.theorem_pipeline(2, 1, seed=3, trials=2)
+    assert rep["mode"] == "exact"
+    for flag, _, _ in _EXACT_LINKS:
+        assert rep["flags"][flag] is holds, flag
+    assert rep["all_pass"] is holds
 
 
 def test_pipeline_reports_byte_identical():

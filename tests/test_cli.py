@@ -12,6 +12,7 @@ from cosetlab import cli, irreps, oracle, sampling
 from cosetlab.cli import _LEMMAS, main
 from cosetlab.groups import cached_group, parse_cycles
 from cosetlab.irreps import CharacterTable, MatrixRep, character_table
+from cosetlab.report import csv_text
 
 
 def run_json(capsys, argv):
@@ -186,9 +187,8 @@ def test_verify_all_small(capsys):
 
 
 def _halved_masses(monkeypatch):
-    masses = sampling._masses_from_buckets
-    monkeypatch.setattr(sampling, "_masses_from_buckets",
-                        lambda *args: 0.5 * masses(*args))
+    masses = sampling._class_masses
+    monkeypatch.setattr(sampling, "_class_masses", lambda *args: 0.5 * masses(*args))
 
 
 def _negated_isotypic_masses(monkeypatch):
@@ -337,6 +337,12 @@ def test_verify_csv(capsys):
     assert code == 0
     header = out.split("\r\n")[0]
     assert header.startswith("name,kind,formula,oracle")
+
+
+def test_csv_rows_must_share_the_first_rows_keys():
+    assert csv_text([{"a": 1, "b": 2}, {"a": 3, "b": 4}]) == "a,b\r\n1,2\r\n3,4\r\n"
+    with pytest.raises(ValueError, match="'c'"):
+        csv_text([{"a": 1, "b": 2}, {"a": 3, "b": 4, "c": 5}])
 
 
 def test_bounds_cutoff_example(capsys):

@@ -445,17 +445,18 @@ def test_per_element_overlap_fallback_matches_the_dense_path(monkeypatch, spec):
     for k in (1, 2, 3):
         regs = RegisterTuple(tuple(largest[:k]))
         b = CounterRng(5, "fallback", spec, k).unit_vector(regs.total_dim)
-        cases += [(regs, b, sub, isotypic_masses(regs, sub, b)) for sub in subsets(k)]
+        cases += [(regs, b, subsets(k), isotypic_masses(regs, subsets(k), b))]
 
     def refuse(*args):
         raise AssertionError("the dense subset stack was built")
 
     monkeypatch.setattr(sampling, "_DENSE_LIMIT", 0)
     monkeypatch.setattr(sampling, "_span_stack", refuse)
-    for regs, b, sub, dense in cases:
-        assert np.max(np.abs(isotypic_masses(regs, sub, b) - dense)) <= 1e-12
-        got = subset_expectation(regs, b, sub, M)
-        assert abs(got - oracle.brute_subset_overlap(regs.irreps, b, sub, M)) <= 1e-9
+    for regs, b, subs, dense in cases:
+        assert np.max(np.abs(isotypic_masses(regs, subs, b) - dense)) <= 1e-12
+        for sub in subs:
+            got = subset_expectation(regs, b, sub, M)
+            assert abs(got - oracle.brute_subset_overlap(regs.irreps, b, sub, M)) <= 1e-9
 
 
 def test_doubled_expectation_matches_brute():
@@ -598,7 +599,7 @@ def test_projector_sum_bound_needs_empty_subsets():
     b[0] = 1.0
     lhs, rhs = projector_sum_bound(tup, (3,), b)
     assert lhs <= rhs + 1e-12
-    masses = sampling.isotypic_masses(tup, (0,), b)
+    (masses,) = sampling.isotypic_masses(tup, [(0,)], b)
     nonempty_rhs = 2 * sum(
         m / label_dim(t) for m, t in zip(masses, irrep_labels(S3))
     )
@@ -635,9 +636,7 @@ def _four_operand_masses(regs, first, second, b):
     s1 = sampling._span_stack(stacks, first, 0, regs.k)
     s2 = sampling._span_stack(stacks, second, 0, regs.k)
     per = np.einsum("gik,kl,gjl,ij->g", s1, w, s2.conj(), w.conj(), optimize=True)
-    group = regs.group
-    buckets = sampling._bucket_by_class(group, per)
-    return per, sampling._masses_from_buckets(group, buckets)
+    return per, sampling._class_masses(regs.group, per)
 
 
 def _random_registers(group, k, stream):
@@ -658,15 +657,16 @@ def _assert_grid_has_the_pinned_bits(monkeypatch, regs, b):
     masses equal the four-operand einsum's with np.array_equal."""
     all_subs = subsets(regs.k)
     seen = []
-    bucket = sampling._bucket_by_class
-    monkeypatch.setattr(sampling, "_bucket_by_class",
-                        lambda grp, per: seen.append(per) or bucket(grp, per))
+    class_masses = sampling._class_masses
+    monkeypatch.setattr(sampling, "_class_masses",
+                        lambda grp, per: seen.append(per) or class_masses(grp, per))
     grid = sampling.doubled_isotypic_masses(regs, all_subs, all_subs, b)
-    monkeypatch.setattr(sampling, "_bucket_by_class", bucket)
+    monkeypatch.setattr(sampling, "_class_masses", class_masses)
     assert grid.shape == (len(all_subs), len(all_subs), len(group_irreps(regs.group)))
     pairs = [(s1, s2) for s1 in all_subs for s2 in all_subs]
-    for (s1, s2), per, row in zip(pairs, seen, grid.reshape(len(pairs), -1),
-                                  strict=True):
+    (per_grid,) = seen
+    for (s1, s2), per, row in zip(pairs, per_grid.reshape(len(pairs), -1),
+                                  grid.reshape(len(pairs), -1), strict=True):
         want_per, want_row = _four_operand_masses(regs, s1, s2, b)
         assert np.array_equal(per, want_per), (s1, s2)
         assert np.array_equal(row, want_row), (s1, s2)
@@ -689,6 +689,42 @@ def test_doubled_grid_keeps_its_bits_at_every_chunk_size(
     count = group.order if elements is None else elements
     monkeypatch.setattr(sampling, "_CHUNK_ENTRIES", count * regs.total_dim ** 2)
     _assert_grid_has_the_pinned_bits(monkeypatch, regs, b)
+
+
+def _one_subset_masses(regs, subset, b):
+    """The isotypic masses of one subset on its own: the dense einsum over
+    the subset's stack, class buckets by np.add.at, one dot product per
+    character row."""
+    stack = sampling._span_stack([rep.stack for rep in regs.irreps], subset, 0, regs.k)
+    per = np.einsum("i,gij,j->g", b.conj(), stack, b)
+    group = regs.group
+    buckets = np.zeros(len(group.conjugacy_classes()), dtype=np.complex128)
+    np.add.at(buckets, group.class_indices(), per)
+    table = character_table(group)
+    chi = table.chi.astype(np.float64)
+    scale = table.dims / group.order
+    return np.array([complex(scale[i] * np.dot(chi[i], buckets)).real
+                     for i in range(len(chi))])
+
+
+@pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
+def test_batched_isotypic_rows_have_the_bits_of_one_subset_calls(group, k, stream):
+    regs, b = _random_registers(group, k, stream)
+    all_subs = subsets(k)
+    masses = isotypic_masses(regs, all_subs, b)
+    assert masses.shape == (len(all_subs), len(group_irreps(group)))
+    for sub, row in zip(all_subs, masses, strict=True):
+        assert np.array_equal(row, _one_subset_masses(regs, sub, b)), sub
+
+
+def test_class_masses_refuse_an_imaginary_mass():
+    # constant values c give the trivial irrep the mass c and the others 0
+    with pytest.raises(RepresentationDefectError, match="imaginary part 1.000e"):
+        sampling._class_masses(S3, 1j * np.ones(S3.order))
+    with pytest.raises(RepresentationDefectError, match="imaginary part"):
+        sampling._class_masses(S3, np.ones((2, 3, S3.order)) + 2j * sampling.EPS)
+    masses = sampling._class_masses(S3, np.ones((2, 3, S3.order)) + 0.5j * sampling.EPS)
+    assert np.array_equal(masses, np.broadcast_to([1.0, 0.0, 0.0], (2, 3, 3)))
 
 
 @pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
@@ -749,11 +785,13 @@ import hashlib, sys
 from cosetlab.cli import main
 from cosetlab.groups import cached_group
 from cosetlab.rng import CounterRng
-from cosetlab.sampling import RegisterTuple, doubled_isotypic_masses, subsets
+from cosetlab.sampling import (RegisterTuple, doubled_isotypic_masses,
+                               isotypic_masses, subsets)
 regs = RegisterTuple.from_labels(cached_group("wreath:3"), ["{[3],[2,1]}"] * 3)
 b = CounterRng(67).unit_vector(64)
 grid = doubled_isotypic_masses(regs, subsets(3), subsets(3), b)
 print(hashlib.sha256(grid.tobytes()).hexdigest())
+print(hashlib.sha256(isotypic_masses(regs, subsets(3), b).tobytes()).hexdigest())
 sys.exit(main(["verify", "--lemma", "multiregister", "--group", "wreath:3",
                "--k", "3", "--trials", "3", "--seed", "0"]))
 """
