@@ -51,10 +51,12 @@ from .groups import (
 from .irreps import (
     DiagonalLabel,
     character_table,
-    group_irreps,
+    check_wreath_n,
     irrep_labels,
+    label_irrep,
     label_str,
     parse_label,
+    wreath_matrices,
 )
 from .parallel import kahan_sum, ordered_map
 from .report import exact_node
@@ -206,13 +208,15 @@ def _check_tensor_cap(group: FiniteGroup, k: int, tensor_cap: int) -> None:
         )
 
 
-def _label_projectors(group: FiniteGroup, M: ConjugacyClass, reps) -> tuple[list, list]:
+def _label_projectors(group: FiniteGroup, M: ConjugacyClass) -> tuple[list, list]:
     """Each label's exact weak rank and its (|M|, d, d) stack of Pi_m over
-    the members of M, in label order."""
+    the members of M, in label order, from the wreath matrices at those
+    members only."""
     hidden = HiddenSubgroup(group, M.representative)
-    ranks = [weak_rank(group, rep.label, hidden) for rep in reps]
-    members = [group.index(m) for m in M.members]
-    return ranks, [member_projectors(rep, members, r) for rep, r in zip(reps, ranks)]
+    labels = character_table(group).labels
+    ranks = [weak_rank(group, lab, hidden) for lab in labels]
+    mats = wreath_matrices(group.n, labels, [group.index(m) for m in M.members])
+    return ranks, [member_projectors(m, r) for m, r in zip(mats, ranks)]
 
 
 # rows of _tuple_task's per-trial array
@@ -241,37 +245,37 @@ def _tuple_task(projs, rank_totals, bases, k):
 
 
 def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
-                      seed: int, trials: int, reps: tuple,
-                      threads: int = 1) -> tuple[dict, dict]:
+                      seed: int, trials: int, threads: int = 1) -> tuple[dict, dict]:
     """Enumerate every label tuple with its exact Plancherel and H weights,
     in one Haar basis per (tuple, trial), and reduce with deterministic
     ordered sums.  Returns the exact-mode fields of the report's "exact"
-    section and the quantiles of the per-triple distances.  reps is the
-    group's group_irreps tuple.  The tuples are measured in chunks of one
-    register-dimension signature; a zero-rank tuple's projector is 0, so it
-    builds no basis and gets the values of all-zero masses."""
+    section and the quantiles of the per-triple distances.  The tuples are
+    measured in chunks of one register-dimension signature; a zero-rank
+    tuple's projector is 0, so it builds no basis and gets the values of
+    all-zero masses."""
     if trials < 1:
         raise ValueError("need at least one basis trial")
-    if len(reps) ** k > EXACT_TUPLE_CAP:
+    dims = character_table(group).dims.tolist()
+    if len(dims) ** k > EXACT_TUPLE_CAP:
         raise CapExceededError(
-            f"{len(reps)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
+            f"{len(dims)}^{k} tuples exceed the exact-mode cap {EXACT_TUPLE_CAP}"
         )
-    ranks, projs = _label_projectors(group, M, reps)
-    tuples = list(itertools.product(range(len(reps)), repeat=k))
+    ranks, projs = _label_projectors(group, M)
+    tuples = list(itertools.product(range(len(dims)), repeat=k))
     rows = np.tile(np.array([PESSIMAL_TV, PESSIMAL_TV, 0.0, 0.5 ** k])[:, None],
                    (len(tuples), 1, trials))
     dists = np.full((len(tuples), trials, M.size), PESSIMAL_TV)
     signatures = {}
     for idx, tup in enumerate(tuples):
         if all(ranks[i] for i in tup):
-            signatures.setdefault(tuple(reps[i].dim for i in tup), []).append(idx)
+            signatures.setdefault(tuple(dims[i] for i in tup), []).append(idx)
     chunks = []
-    for dims, indices in signatures.items():
-        size = max(1, CHUNK_ENTRIES // (trials * prod(dims) ** 2))
+    for signature, indices in signatures.items():
+        size = max(1, CHUNK_ENTRIES // (trials * prod(signature) ** 2))
         chunks += [indices[s:s + size] for s in range(0, len(indices), size)]
 
     def run(chunk):
-        D = prod(reps[i].dim for i in tuples[chunk[0]])
+        D = prod(dims[i] for i in tuples[chunk[0]])
         streams = [CounterRng(seed, "bases", idx, t) for idx in chunk for t in range(trials)]
         return _tuple_task(
             [np.stack([projs[tuples[idx][r]] for idx in chunk]) for r in range(k)],
@@ -329,39 +333,43 @@ def weighted_quantile(values, weights, q: float) -> float:
 
 
 def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
-                        seed: int, trials: int, reps: tuple) -> np.ndarray:
+                        seed: int, trials: int) -> np.ndarray:
     """Monte Carlo over (tuple, m, basis) triples, for tuple spaces too large
     to enumerate: tuple per-register from the Plancherel measure, m uniform
     in M, basis Haar-seeded.  Returns the (trials,) per-triple L1 distances
-    to uniform (pessimal 2 on zero-rank tuples).  reps is the group's
-    group_irreps tuple."""
-    ranks, projs = _label_projectors(group, M, reps)
+    to uniform (pessimal 2 on zero-rank tuples).  No name holds a basis
+    across _tuple_task, so its contiguous copy replaces the basis."""
+    dims = character_table(group).dims.tolist()
+    ranks, projs = _label_projectors(group, M)
     planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
     cum = np.cumsum([p / group.order for p in planch])
     values = np.full(trials, PESSIMAL_TV)
     for t in range(trials):
         rng = CounterRng(seed, "sampled", t)
-        tup = [min(int(np.searchsorted(cum, u, side="right")), len(reps) - 1)
+        tup = [min(int(np.searchsorted(cum, u, side="right")), len(dims) - 1)
                for u in rng.floats01(0, k)]
         w = rng.index(k, M.size)
         rank_total = prod(ranks[i] for i in tup)
         if rank_total:
-            basis = rng.sub("basis").haar_basis(prod(reps[i].dim for i in tup))
-            values[t] = _tuple_task([projs[i][None, w:w + 1] for i in tup],
-                                    np.array([rank_total]), basis[None, None], k)[1][0, 0, 0]
+            values[t] = _tuple_task(
+                [projs[i][None, w:w + 1] for i in tup], np.array([rank_total]),
+                rng.sub("basis").haar_basis(prod(dims[i] for i in tup))[None, None],
+                k)[1][0, 0, 0]
     return values
 
 
 # ---------------------------------------------------------------------------
 # The assembled pipeline
 
-def _control_tv(group, reps, k, tensor_cap) -> float:
+def _control_tv(group, k, tensor_cap) -> float:
     """Trivial-subgroup control: the multiregister distribution must be
     exactly uniform, whatever the basis, so the standard one serves.  k
-    registers of the first irrep of dimension above 1; _check_tensor_cap
-    has passed, so they fit."""
-    pick = next((r for r in reps if r.dim > 1), reps[0])
-    tup = RegisterTuple((pick,) * k, tensor_cap=tensor_cap)
+    registers of the first irrep of dimension above 1, the only irrep it
+    builds; _check_tensor_cap has passed, so they fit."""
+    table = character_table(group)
+    pick = next((i for i, d in enumerate(table.dims.tolist()) if d > 1), 0)
+    tup = RegisterTuple((label_irrep(group, table.labels[pick]),) * k,
+                        tensor_cap=tensor_cap)
     basis = MeasurementBasis.standard(tup.total_dim)
     dist = multiregister_dist(tup, HiddenSubgroup(group), basis)
     uniform = Fraction(1, tup.total_dim)
@@ -374,7 +382,9 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     """End-to-end bound report over the wreath group on 2n points: the
     nested dict that report.json_text prints, in key order.  Exact values
     are {"exact", "value"} nodes; a quantity the mode does not compute is
-    None."""
+    None.  n is checked against the wreath matrix cap before any group is
+    built."""
+    check_wreath_n(n)
     group = cached_group(f"wreath:{n}")
     M = involution_class(group)
     bad = build_bad_set(group, M, rule)
@@ -395,19 +405,18 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "expectation_deviation_max", "zero_rank_mass"))
     exact["weak_tv"] = exact_node(weak_x)
     flags = {"weak_tv": weak_b >= weak_x}
-    reps = group_irreps(group)
-    control = _control_tv(group, reps, k, tensor_cap)
+    control = _control_tv(group, k, tensor_cap)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:
         cutoff_ok = flags["lambda_cutoff"] = lambda_cutoff_holds(bad, n)
 
-    if len(reps) ** k <= EXACT_TUPLE_CAP and n <= 3:
+    if len(character_table(group).labels) ** k <= EXACT_TUPLE_CAP and n <= 3:
         mode = "exact"
-        fields, quantiles = exact_enumeration(group, M, k, seed, trials, reps, threads)
+        fields, quantiles = exact_enumeration(group, M, k, seed, trials, threads)
     else:
         mode = "sampled"
-        values = sampled_enumeration(group, M, k, seed, trials, reps)
+        values = sampled_enumeration(group, M, k, seed, trials)
         fields = {"full_tv_mean": float(values.mean())}
         quantiles = _quantiles(values, np.ones_like(values))
     exact.update(fields)

@@ -56,6 +56,7 @@ from .irreps import (
     class_character,
     exact_int,
     group_irreps,
+    label_irrep,
     label_str,
     parse_label,
     wreath_character,
@@ -242,12 +243,10 @@ def cmd_sample(args) -> int:
         if args.label is None:
             raise UsageError("--strong needs --label")
         target = parse_label(args.label)
-        rep = next(
-            (r for r in group_irreps(group) if r.label == target),
-            None,
-        )
-        if rep is None:
-            raise UsageError(f"{args.label} is not an irrep of {group.spec}")
+        try:
+            rep = label_irrep(group, target)
+        except KeyError:
+            raise UsageError(f"{args.label} is not an irrep of {group.spec}") from None
         basis = _basis_for(args, rep.dim, "strong", label_str(target))
         dist = strong_dist(rep, hidden, basis)
     else:

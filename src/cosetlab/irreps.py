@@ -29,6 +29,11 @@ W(n) irreps come in two families:
     ((alpha,beta),t) -> (rho(alpha) (x) rho(beta)) . (sign * SWAP)^t,
     dimension d_rho^2.
 
+wreath_matrices is the one builder of these matrices, at any list of
+element indices, so bounds builds Pi_m's matrices at the members of the
+involution class only; wreath_irreps is its all-elements case, and
+label_irrep builds one label's irrep alone.
+
 Characters are exact integers throughout (Murnaghan-Nakayama plus the
 wreath character rules in wreath_character); matrices are float64, since
 every explicit model here is real orthogonal.
@@ -340,30 +345,6 @@ def _swap_matrix(d: int) -> np.ndarray:
     return s
 
 
-def _diagonal_stack(r_stack: np.ndarray, sign: int) -> np.ndarray:
-    f, d, _ = r_stack.shape
-    big = np.einsum("aij,bkl->abikjl", r_stack, r_stack).reshape(f, f, d * d, d * d)
-    swap = _swap_matrix(d)
-    out = np.empty((2 * f * f, d * d, d * d))
-    out[0::2] = big.reshape(f * f, d * d, d * d)
-    out[1::2] = (sign * (big @ swap)).reshape(f * f, d * d, d * d)
-    return out
-
-
-def _pair_stack(r_stack: np.ndarray, s_stack: np.ndarray) -> np.ndarray:
-    f = r_stack.shape[0]
-    m = r_stack.shape[1] * s_stack.shape[1]
-    krs = np.einsum("aij,bkl->abikjl", r_stack, s_stack).reshape(f, f, m, m)
-    blk11 = krs.reshape(f * f, m, m)
-    blk22 = krs.transpose(1, 0, 2, 3).reshape(f * f, m, m)
-    out = np.zeros((2 * f * f, 2 * m, 2 * m))
-    out[0::2, :m, :m] = blk11
-    out[0::2, m:, m:] = blk22
-    out[1::2, :m, m:] = blk11
-    out[1::2, m:, :m] = blk22
-    return out
-
-
 def wreath_character(label, g: WreathElement) -> int:
     """Exact character of the W(n) irrep with the given label at g."""
     n = g.degree
@@ -388,29 +369,74 @@ def wreath_character(label, g: WreathElement) -> int:
     raise TypeError(f"not a wreath irrep label: {label!r}")
 
 
-def wreath_irreps(n: int) -> tuple[Irrep, ...]:
-    """All irreps of W(n) with explicit matrices, in irrep_labels order."""
+def check_wreath_n(n: int) -> None:
+    """CapExceededError unless wreath:n is within the matrix cap MAX_WREATH_N."""
     if n > MAX_WREATH_N:
         raise CapExceededError(
             f"wreath irrep matrices are capped at n <= {MAX_WREATH_N}, got n = {n}"
         )
-    grp = cached_group(f"wreath:{n}")
-    # The stacks below put ((alpha, beta), flip) at (a * n! + b) * 2 + flip,
-    # with a and b the sym:n indices of alpha and beta: the group's
-    # point_rank, which must give every element its own index.
-    assert np.array_equal(grp.point_rank(grp.point_images()), np.arange(grp.order))
 
+
+def wreath_matrices(n: int, labels, elements) -> list[np.ndarray]:
+    """Each label's (len(elements), d, d) matrices at the given element
+    indices of W(n), in label order, by the block rules of the module
+    docstring, from one _yor_stacks walk for every partition of n."""
+    check_wreath_n(n)
+    grp = cached_group(f"wreath:{n}")
+    # index (a * n! + b) * 2 + flip is ((alpha, beta), flip), with a and b
+    # the sym:n indices of alpha and beta: the group's point_rank, which
+    # must give every element its own index
+    assert np.array_equal(grp.point_rank(grp.point_images()), np.arange(grp.order))
+    index = np.asarray(elements, dtype=np.int64)
+    a, b = np.divmod(index // 2, math.factorial(n))
+    flip = index % 2
     parts = partitions(n)
-    sym_stacks = dict(zip(parts, _yor_stacks(n, parts)))
+    sym = dict(zip(parts, _yor_stacks(n, parts)))
     out = []
-    for lab in character_table(grp).labels:
+    for lab in labels:
         if isinstance(lab, DiagonalLabel):
-            stack = _diagonal_stack(sym_stacks[lab.rho], lab.sign)
+            r = s = sym[lab.rho]
         else:
-            stack = _pair_stack(sym_stacks[lab.first], sym_stacks[lab.second])
-        out.append(Irrep(grp, lab, stack))
+            r, s = sym[lab.first], sym[lab.second]
+        m = r.shape[1] * s.shape[1]
+        # KRS(alpha, beta) of the module docstring
+        krs = np.einsum("wij,wkl->wikjl", r[a], s[b]).reshape(-1, m, m)
+        if isinstance(lab, DiagonalLabel):
+            flipped = flip == 1
+            krs[flipped] = lab.sign * (krs[flipped] @ _swap_matrix(r.shape[1]))
+            out.append(krs)
+        else:
+            # axes (element, row block, row, column block, column)
+            mats = np.zeros((len(flip), 2, m, 2, m))
+            rows = np.arange(len(flip))
+            mats[rows, 0, :, flip] = krs
+            mats[rows, 1, :, 1 - flip] = np.einsum(
+                "wij,wkl->wikjl", r[b], s[a]).reshape(-1, m, m)
+            out.append(mats.reshape(-1, 2 * m, 2 * m))
+    return out
+
+
+def wreath_irreps(n: int) -> tuple[Irrep, ...]:
+    """All irreps of W(n) with explicit matrices, in irrep_labels order:
+    wreath_matrices at every element."""
+    check_wreath_n(n)
+    grp = cached_group(f"wreath:{n}")
+    labels = character_table(grp).labels
+    stacks = wreath_matrices(n, labels, range(grp.order))
+    out = tuple(Irrep(grp, lab, stack) for lab, stack in zip(labels, stacks))
     assert sum(ir.dim**2 for ir in out) == grp.order
-    return tuple(out)
+    return out
+
+
+def label_irrep(group: FiniteGroup, label) -> Irrep:
+    """The irrep of one label of the group, with no other label's stack
+    built: young_orthogonal_rep for sym:n, wreath_matrices at every element
+    for wreath:n.  KeyError if the label is not one of the group's."""
+    character_table(group).position(label)
+    if isinstance(group, SymmetricGroup):
+        return young_orthogonal_rep(label)
+    stack, = wreath_matrices(group.n, [label], range(group.order))
+    return Irrep(group, label, stack)
 
 
 def group_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:

@@ -108,8 +108,10 @@ def _gaussians(bases, count: int, start: int) -> np.ndarray:
     return out[..., :count]
 
 
-def _complex_gaussians(bases, rows: int, cols: int) -> np.ndarray:
-    g = _gaussians(bases, 2 * rows * cols, 0)
+def _complex_gaussians(bases, rows: int, cols: int, first: int = 0) -> np.ndarray:
+    """Rows first..first+rows-1 of the row-major complex Gaussian matrix
+    with cols columns."""
+    g = _gaussians(bases, 2 * rows * cols, 2 * first * cols)
     z = (g[..., 0::2] + 1j * g[..., 1::2]) / math.sqrt(2.0)
     return z.reshape(*np.shape(bases), rows, cols)
 
@@ -179,6 +181,10 @@ class CounterRng:
         return min(int(self.floats01(i, 1)[0] * n), n - 1)
 
 
+# haar_bases draws the rows of its Gaussian matrices in chunks of at most
+# this many complex entries over the whole stack (at least one row)
+_DRAW_ENTRIES = 1 << 14
+
 # OpenBLAS runs a zgemm on one thread when m * n * k is small enough, and
 # every gemm slice of haar_bases stays at or under this size.  A (32 x 324)
 # @ (324 x 16) slice (165,888) printed other bits under two BLAS threads; a
@@ -212,14 +218,24 @@ def haar_bases(streams, d: int) -> np.ndarray:
     bits, and each basis has the bits it has alone, whatever the BLAS thread
     count.  At d <= 16 there is one panel and no matmul."""
     tile, panel = _gemm_tiles(d)
-    # drawn before q is allocated: with the draw allocated after q and freed,
-    # the same loop below ran 20-30% slower at d = 8..16
-    a = _complex_gaussians([s._base for s in streams], d, d)
+    bases = [s._base for s in streams]
+    # Gaussian rows go into q's columns _DRAW_ENTRIES at a time (one draw for
+    # a stack of at most _DRAW_ENTRIES entries), so a large basis never holds
+    # its whole draw next to q.  The first rows are drawn before q exists, so
+    # that q can reuse their freed temporaries: allocated first, q added about
+    # 0.17 MB to the peak RSS of `bounds --n 3 --k 3` (Linux, glibc malloc),
+    # and the loop below ran 20-30% slower at d = 8..16.
+    step = max(1, _DRAW_ENTRIES // max(1, len(bases) * d))
+    a = _complex_gaussians(bases, min(step, d), d)
     # q[b, j] is column j of basis b; rows from d on are zero padding, so
     # that the columns after each panel split into whole tiles
-    q = np.zeros((len(a), d + (-d) % tile if d > panel else d, d), dtype=np.complex128)
-    q[:, :d] = a.transpose(0, 2, 1)
+    q = np.zeros((len(bases), d + (-d) % tile if d > panel else d, d), dtype=np.complex128)
+    q[:, :d, :step] = a.transpose(0, 2, 1)
     del a
+    for first in range(step, d, step):
+        rows = min(step, d - first)
+        q[:, :d, first:first + rows] = _complex_gaussians(
+            bases, rows, d, first).transpose(0, 2, 1)
     for start in range(0, d, panel):
         stop = min(start + panel, d)
         for i in range(start, stop):

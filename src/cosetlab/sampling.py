@@ -202,12 +202,12 @@ class RegisterTuple:
 # ---------------------------------------------------------------------------
 # Projectors and the three sampling stages
 
-def member_projectors(rep: MatrixRep, members, rank: int) -> np.ndarray:
-    """(len(members), d, d) stack of Pi_m = (rep(e) + rep(m)) / 2 for the
-    element indices in members, all of one class.  Each Pi_m must be
+def member_projectors(mats: np.ndarray, rank: int) -> np.ndarray:
+    """(W, d, d) stack of Pi_m = (rho(e) + rho(m)) / 2 from the (W, d, d)
+    matrices rho(m) of W members m of one class.  Each Pi_m must be
     idempotent and self-adjoint within EPS, and its trace must be the exact
     rank from weak_rank within TRACE_INT_TOL."""
-    mats = 0.5 * (np.eye(rep.dim) + rep.stack[members])
+    mats = 0.5 * (np.eye(mats.shape[1]) + mats)
     for what, excess, tol in (
         ("idempotent", mats @ mats - mats, EPS),
         ("self-adjoint", mats - mats.conj().swapaxes(1, 2), EPS),
@@ -342,7 +342,7 @@ def _strong_stage(context: str, registers: RegisterTuple, hidden: HiddenSubgroup
                 "never survives the weak stage" if context == "strong" else
                 f"register {i} ({rep.name}): Pi_H has rank 0 for m = {hidden.m}"
             )
-        projs.append(member_projectors(rep, member, rank))
+        projs.append(member_projectors(rep.stack[member], rank))
         rank_total *= rank
     masses = projected_masses(projs, basis.vectors)[0]
     outcomes = tuple((labels[j], float(masses[j] / rank_total)) for j in range(D))

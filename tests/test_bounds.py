@@ -1,12 +1,12 @@
 import itertools
 import math
-import weakref
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from cosetlab import bounds, rng
+from cosetlab import bounds, irreps, rng
 from cosetlab.distributions import SamplingDistribution
 from cosetlab.errors import BoundUndefinedError, CapExceededError, GroupMismatchError
 from cosetlab.groups import cached_group, involution_class
@@ -192,8 +192,7 @@ def test_weighted_quantile():
 
 def test_exact_enumeration_zero_rank_mass():
     g, M = _setup(2)
-    fields, quantiles = bounds.exact_enumeration(g, M, 2, seed=0, trials=2,
-                                                 reps=group_irreps(g))
+    fields, quantiles = bounds.exact_enumeration(g, M, 2, seed=0, trials=2)
     # one zero-rank register spoils the tuple: 1 - (3/4)^2
     assert fields["zero_rank_mass"] == {"exact": "7/16", "value": 7 / 16}
     # the exact-mode fields of the report's "exact" section, in its key order
@@ -213,7 +212,8 @@ def _six_tuple_enumeration(g, M, k, seed, trials):
     hidden = HiddenSubgroup(g, M.representative)
     ranks = [weak_rank(g, lab, hidden) for lab in labels]
     members = [g.index(m) for m in M.members]
-    projs = [member_projectors(rep, members, r) for rep, r in zip(group_irreps(g), ranks)]
+    projs = [member_projectors(rep.stack[members], r)
+             for rep, r in zip(group_irreps(g), ranks)]
 
     def task(projs, rank_total, tuple_idx):
         n_m = len(projs[0])
@@ -274,8 +274,7 @@ def _six_tuple_enumeration(g, M, k, seed, trials):
 @pytest.mark.parametrize("n,k", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
 def test_exact_enumeration_equals_the_six_tuple_combine(n, k, trials):
     g, M = _setup(n)
-    fields, quantiles = bounds.exact_enumeration(g, M, k, seed=6, trials=trials,
-                                                 reps=group_irreps(g))
+    fields, quantiles = bounds.exact_enumeration(g, M, k, seed=6, trials=trials)
     (zero_rank_mass, exp_tv, full_tv, full_tv_h, var_, dev,
      triple_weights, triple_values) = _six_tuple_enumeration(g, M, k, 6, trials)
     # max and mean of the reference's per-trial sums, bit for bit
@@ -322,11 +321,9 @@ def _refuse_bases(monkeypatch, refuse) -> None:
 def test_exact_enumeration_does_not_depend_on_its_chunks(monkeypatch, n, k, trials):
     # the default chunks, the same over two threads, and one tuple per chunk
     g, M = _setup(n)
-    reps = group_irreps(g)
-    runs = [bounds.exact_enumeration(g, M, k, 5, trials, reps, threads)
-            for threads in (1, 2)]
+    runs = [bounds.exact_enumeration(g, M, k, 5, trials, threads) for threads in (1, 2)]
     monkeypatch.setattr(bounds, "CHUNK_ENTRIES", 1)
-    runs.append(bounds.exact_enumeration(g, M, k, 5, trials, reps))
+    runs.append(bounds.exact_enumeration(g, M, k, 5, trials))
     assert runs[0] == runs[1] == runs[2]
 
 
@@ -338,8 +335,7 @@ def test_exact_enumeration_builds_no_basis_for_zero_rank_tuples(monkeypatch, n):
     assert 0 < useful < len(irrep_labels(g))
     built = _count_bases(monkeypatch)
     k, trials = 2, 2
-    fields, _ = bounds.exact_enumeration(g, M, k, seed=4, trials=trials,
-                                         reps=group_irreps(g))
+    fields, _ = bounds.exact_enumeration(g, M, k, seed=4, trials=trials)
     assert len(built) == useful ** k * trials
     assert Fraction(fields["zero_rank_mass"]["exact"]) > 0
 
@@ -394,7 +390,7 @@ def _parent_sampled_loop(group, M, k, seed, trials, reps):
         if rank_total == 0:
             continue
         basis = rng.sub("basis").haar_basis(D)
-        projs = [member_projectors(reps[i], [m], ranks[i]) for i in tup]
+        projs = [member_projectors(reps[i].stack[[m]], ranks[i]) for i in tup]
         probs = projected_masses(projs, basis)[0] / rank_total
         values[t] = np.sum(np.abs(probs - 1.0 / D))
     return values
@@ -406,7 +402,7 @@ def test_sampled_enumeration_has_the_bits_of_its_own_loop(n, k):
     reps = group_irreps(g)
     values = []
     for seed in range(4):
-        got = bounds.sampled_enumeration(g, M, k, seed, 4, reps)
+        got = bounds.sampled_enumeration(g, M, k, seed, 4)
         assert np.array_equal(got, _parent_sampled_loop(g, M, k, seed, 4, reps))
         values.extend(got)
     if n == 2:
@@ -419,7 +415,8 @@ def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
         raise AssertionError("a Haar basis or an irrep stack was built")
 
     _refuse_bases(monkeypatch, refuse)
-    monkeypatch.setattr(bounds, "group_irreps", refuse)
+    monkeypatch.setattr(bounds, "wreath_matrices", refuse)
+    monkeypatch.setattr(irreps, "wreath_matrices", refuse)
     # wreath:4 has an 18-dimensional irrep and 18^3 > 4096; n = 4 is sampled
     # mode, and the pipeline checks the cap once, before either enumeration
     with pytest.raises(CapExceededError, match="exceed tensor cap 4096"):
@@ -427,24 +424,44 @@ def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_pipeline_frees_its_stacks_before_the_enumeration_builds_more(monkeypatch, n):
-    # n=2 runs exact_enumeration, n=4 sampled_enumeration; the pipeline
-    # builds one set of stacks, with none alive from earlier runs, and hands
-    # it to both the control and the enumeration.
-    group_irreps = bounds.group_irreps
-    built = []
-    alive_at_call = []
+def test_pipeline_builds_matrices_only_for_the_control_and_at_the_members(monkeypatch, n):
+    # n=2 runs exact_enumeration, n=4 sampled_enumeration.  No all-label
+    # stack is built: the control builds its one irrep at every element,
+    # the enumeration every label at the members of M only.
+    def refuse(*args):
+        raise AssertionError("a whole set of irrep stacks was built")
 
-    def recording(group):
-        alive_at_call.append(sum(ref() is not None for ref in built))
-        reps = group_irreps(group)
-        built.extend(weakref.ref(rep.stack) for rep in reps)
-        return reps
+    for name in ("group_irreps", "sym_irreps", "wreath_irreps"):
+        monkeypatch.setattr(irreps, name, refuse)
+    monkeypatch.setattr(bounds, "group_irreps", refuse, raising=False)
+    wreath_matrices = irreps.wreath_matrices
+    calls = []
 
-    monkeypatch.setattr(bounds, "group_irreps", recording)
-    bounds.theorem_pipeline(n, 1, seed=0, trials=1)
-    assert built
-    assert alive_at_call == [0]
+    def recording(n, labels, elements):
+        calls.append((len(labels), len(elements)))
+        return wreath_matrices(n, labels, elements)
+
+    monkeypatch.setattr(irreps, "wreath_matrices", recording)
+    monkeypatch.setattr(bounds, "wreath_matrices", recording)
+    report = bounds.theorem_pipeline(n, 1, seed=0, trials=1)
+    g, M = _setup(n)
+    assert report["mode"] == ("exact" if n == 2 else "sampled")
+    assert report["control_trivial_tv"] == 0.0
+    assert calls == [(1, g.order), (len(irrep_labels(g)), M.size)]
+
+
+def test_warm_sampled_pipeline_peaks_under_7_mb():
+    # All wreath:4 stacks are 10.6 MB; a whole d = 324 Gaussian draw and its
+    # temporaries peaked at 5.9 MB.  Warm: the group, classes and table are
+    # cached by the first run.
+    bounds.theorem_pipeline(4, 2, seed=3, trials=10)
+    tracemalloc.start()
+    try:
+        bounds.theorem_pipeline(4, 2, seed=3, trials=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7_000_000
 
 
 def test_pipeline_wreath2_k1_all_pass():

@@ -93,6 +93,32 @@ def test_strong_needs_label(capsys):
     assert main(["sample", "--group", "sym:3", "--strong"]) == 2
 
 
+@pytest.mark.parametrize("group,label", [
+    ("sym:3", "[2,1]"), ("wreath:2", "([2],+)"), ("wreath:3", "{[3],[2,1]}"),
+])
+def test_strong_builds_only_its_labels_irrep(monkeypatch, capsys, group, label):
+    argv = ["sample", "--group", group, "--strong", "--label", label,
+            "--basis", "haar", "--seed", "2"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("every irrep stack of the group was built")
+
+    for name in ("group_irreps", "sym_irreps", "wreath_irreps"):
+        monkeypatch.setattr(irreps, name, refuse)
+    monkeypatch.setattr(cli, "group_irreps", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+
+
+@pytest.mark.parametrize("group,label", [("sym:3", "[3,1]"), ("wreath:2", "[2]"),
+                                         ("sym:3", "([2,1],+)"), ("wreath:2", "([3],+)")])
+def test_strong_refuses_a_label_of_another_group(capsys, group, label):
+    assert main(["sample", "--group", group, "--strong", "--label", label]) == 2
+    assert capsys.readouterr() == ("", f"error: {label} is not an irrep of {group}\n")
+
+
 def test_tuple_report(capsys):
     code, d = run_json(capsys, [
         "sample", "--group", "wreath:2", "--k", "2", "--basis", "haar",
@@ -522,6 +548,20 @@ def test_importing_the_cli_fills_no_cache_and_starts_no_pool():
     assert caches["cosetlab.groups.cached_group"] == 0
     assert caches["cosetlab.oracle._coset_products"] == 0
     assert {name: size for name, size in caches.items() if size} == {}
+
+
+def test_bounds_above_the_wreath_cap_fails_before_any_group(monkeypatch, capsys):
+    from cosetlab import bounds, groups
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a group was built before the wreath cap check")
+
+    monkeypatch.setattr(bounds, "cached_group", refuse)
+    monkeypatch.setattr(groups.WreathGroup, "_enumerate", refuse)
+    monkeypatch.setattr(groups.WreathGroup, "_build_points", refuse)
+    assert main(["bounds", "--n", "5", "--k", "1"]) == 3
+    assert capsys.readouterr() == (
+        "", "error: wreath irrep matrices are capped at n <= 4, got n = 5\n")
 
 
 def test_bounds_tensor_cap_fails_before_any_work(monkeypatch, capsys):

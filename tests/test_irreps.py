@@ -24,11 +24,13 @@ from cosetlab.irreps import (
     group_irreps,
     irrep_labels,
     label_dim,
+    label_irrep,
     label_str,
     parse_label,
     plancherel,
     wreath_character,
     wreath_irreps,
+    wreath_matrices,
     young_orthogonal_rep,
 )
 from cosetlab.tableaux import dimension, partitions
@@ -124,6 +126,94 @@ def test_wreath_irrep_dimensions(n):
     else:
         assert dims == [1, 1, 1, 1, 2, 4, 4, 4, 4]
     assert sum(d * d for d in dims) == WreathGroup(n).order
+
+
+def _pair_stacks(n):
+    """wreath_irreps' stacks as they were built before wreath_matrices: the
+    Kronecker products of every (alpha, beta) pair at once, flip 0 and flip 1
+    interleaved.  Kept literally as a reference."""
+    parts = partitions(n)
+    sym = {lam: young_orthogonal_rep(lam).stack for lam in parts}
+    f = len(next(iter(sym.values())))
+    stacks = []
+    for lab in character_table(cached_group(f"wreath:{n}")).labels:
+        if isinstance(lab, DiagonalLabel):
+            r = sym[lab.rho]
+            d = r.shape[1]
+            big = np.einsum("aij,bkl->abikjl", r, r).reshape(f, f, d * d, d * d)
+            swap = np.zeros((d * d, d * d))
+            for i in range(d):
+                for j in range(d):
+                    swap[i * d + j, j * d + i] = 1.0
+            out = np.empty((2 * f * f, d * d, d * d))
+            out[0::2] = big.reshape(f * f, d * d, d * d)
+            out[1::2] = (lab.sign * (big @ swap)).reshape(f * f, d * d, d * d)
+        else:
+            r, s = sym[lab.first], sym[lab.second]
+            m = r.shape[1] * s.shape[1]
+            krs = np.einsum("aij,bkl->abikjl", r, s).reshape(f, f, m, m)
+            blk11 = krs.reshape(f * f, m, m)
+            blk22 = krs.transpose(1, 0, 2, 3).reshape(f * f, m, m)
+            out = np.zeros((2 * f * f, 2 * m, 2 * m))
+            out[0::2, :m, :m] = blk11
+            out[0::2, m:, m:] = blk22
+            out[1::2, :m, m:] = blk11
+            out[1::2, m:, :m] = blk22
+        stacks.append(out)
+    return stacks
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_wreath_irreps_have_the_bytes_of_the_pair_stacks(n):
+    # tobytes, not array_equal: the signs of zeros match too
+    irs = wreath_irreps(n)
+    want = _pair_stacks(n)
+    assert len(irs) == len(want)
+    for ir, stack in zip(irs, want):
+        assert ir.stack.shape == stack.shape and ir.stack.tobytes() == stack.tobytes()
+
+
+@pytest.mark.parametrize("n", range(5))
+def test_wreath_matrices_rows_have_the_bytes_of_the_full_stacks(n):
+    group = cached_group(f"wreath:{n}")
+    full = wreath_irreps(n)
+    labels = [ir.label for ir in full]
+    pick = np.random.default_rng(n)
+    members = [group.index(m) for m in involution_class(group).members] if n else [1]
+    element_lists = [
+        pick.integers(0, group.order, size=17).tolist(),  # random, with repeats
+        [group.order - 1, 0, group.order - 1, group.order // 2, 1],  # unsorted
+        [],
+        members,
+        list(range(group.order)),
+    ]
+    # every label in order, and a reversed subset: other partitions in the walk
+    for picked in (list(range(len(labels))), list(range(len(labels)))[::-2]):
+        for elements in element_lists:
+            got = wreath_matrices(n, [labels[i] for i in picked], elements)
+            assert len(got) == len(picked)
+            for i, mats in zip(picked, got):
+                d = full[i].dim
+                assert mats.shape == (len(elements), d, d)
+                assert mats.tobytes() == full[i].stack[elements].tobytes()
+
+
+def test_wreath_matrices_are_capped_before_any_group():
+    with pytest.raises(CapExceededError, match="capped at n <= 4, got n = 5"):
+        wreath_matrices(5, [DiagonalLabel((5,), 1)], [0])
+
+
+@pytest.mark.parametrize("spec", [*(f"sym:{n}" for n in range(5)),
+                                  *(f"wreath:{n}" for n in range(5))])
+def test_label_irrep_has_the_bytes_of_group_irreps(spec):
+    group = cached_group(spec)
+    for ir in group_irreps(group):
+        one = label_irrep(group, ir.label)
+        assert one.label == ir.label and one.group.spec == spec
+        assert one.stack.tobytes() == ir.stack.tobytes()
+    foreign = DiagonalLabel((1,), 1) if spec.startswith("sym") else (1,)
+    with pytest.raises(KeyError):
+        label_irrep(group, foreign)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -169,13 +169,14 @@ def test_haar_basis_is_the_gram_schmidt_factor_of_its_gaussian_matrix(d, seed, p
 
 
 def _rank_deficient(monkeypatch, streams=None):
-    """Make the Gaussian generator's matrices singular: the last column is the
-    sum of the others (zero when d = 1), for the given streams or all."""
+    """Make the Gaussian generator's matrices singular: in every drawn chunk
+    of rows, the last column is the sum of the others (zero when d = 1), for
+    the given streams or all."""
     gaussian = rng._complex_gaussians
     picked = None if streams is None else {s._base for s in streams}
 
-    def deficient(bases, rows, cols):
-        a = gaussian(bases, rows, cols)
+    def deficient(bases, rows, cols, first=0):
+        a = gaussian(bases, rows, cols, first)
         for b in np.ndindex(np.shape(bases)):
             if picked is None or int(np.asarray(bases, dtype=np.uint64)[b]) in picked:
                 a[b][:, -1] = a[b][:, :-1].sum(axis=1)
@@ -217,6 +218,34 @@ def test_haar_bases_have_the_bits_of_one_basis_at_a_time(d):
         assert got.shape == (len(streams), d, d) and got.dtype == np.complex128
         assert np.array_equal(got, np.stack([s.haar_basis(d) for s in streams]))
         assert np.array_equal(got, np.stack([_haar_basis_blocked(s, d) for s in streams]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 5, 16, 17, 40, 64, 128, 129, 216, 324])
+def test_haar_bases_do_not_depend_on_the_draws_chunks(monkeypatch, d):
+    # one draw of the whole stack, one row of the stack per draw, and 7 rows
+    # per draw (a ragged last chunk unless 7 divides d)
+    for streams in ([CounterRng(4, "chunks", d)], [CounterRng(s, "chunks") for s in range(3)]):
+        runs = []
+        for entries in (1 << 40, 1, 7 * len(streams) * d + 3):
+            monkeypatch.setattr(rng, "_DRAW_ENTRIES", entries)
+            runs.append(haar_bases(streams, d))
+        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+
+
+def test_a_small_stack_is_one_draw_and_a_large_basis_is_chunked(monkeypatch):
+    draws = []
+    gaussian = rng._complex_gaussians
+
+    def counting(bases, rows, cols, first=0):
+        draws.append((len(bases), rows, first))
+        return gaussian(bases, rows, cols, first)
+
+    monkeypatch.setattr(rng, "_complex_gaussians", counting)
+    haar_bases([CounterRng(s) for s in range(4)], 64)  # 4 * 64^2 = 16,384 entries
+    assert draws == [(4, 64, 0)]
+    draws.clear()
+    haar_bases([CounterRng(0)], 324)  # 50 rows of 324 entries per draw
+    assert draws == [(1, 50, first) for first in range(0, 300, 50)] + [(1, 24, 300)]
 
 
 _THREAD_PROBE = """

@@ -26,7 +26,6 @@ from cosetlab.groups import cached_group, involution_class, parse_cycles
 from cosetlab.irreps import (
     TRACE_INT_TOL,
     CharacterTable,
-    MatrixRep,
     character_table,
     group_irreps,
     irrep_labels,
@@ -136,7 +135,7 @@ def test_projector_rank_matches_character_rank():
         assert len(members) > 1
         for rep in group_irreps(group):
             rank = weak_rank(group, rep.label, hidden)
-            projs = member_projectors(rep, members, rank)
+            projs = member_projectors(rep.stack[members], rank)
             assert projs.shape == (len(members), rep.dim, rep.dim)
             traces = np.trace(projs, axis1=1, axis2=2)
             np.testing.assert_allclose(traces, rank, rtol=0, atol=TRACE_INT_TOL)
@@ -147,13 +146,13 @@ def test_member_projectors_refuse_a_defect_or_a_wrong_rank():
     members = [W3.index(m) for m in W3.class_of(hidden.m).members]
     for rep in group_irreps(W3):
         rank = weak_rank(W3, rep.label, hidden)
-        member_projectors(rep, members, rank)
+        member_projectors(rep.stack[members], rank)
         with pytest.raises(RepresentationDefectError, match="trace"):
-            member_projectors(rep, members, rank + 1)
-        stack = rep.stack.copy()
-        stack[members[-1]] *= 1.01
+            member_projectors(rep.stack[members], rank + 1)
+        mats = rep.stack[members]
+        mats[-1] *= 1.01
         with pytest.raises(RepresentationDefectError, match="idempotent"):
-            member_projectors(MatrixRep(W3, stack, rep.name), members, rank)
+            member_projectors(mats, rank)
 
 
 def test_standard_sign_rep_rank_zero():
@@ -385,7 +384,7 @@ def test_projected_masses_match_oracle_per_member():
             D = int(np.prod([r.dim for r in tup]))
             basis = rng.sub(group.spec, t).haar_basis(D)
             masses = sampling.projected_masses(
-                [member_projectors(r, members, weak_rank(group, r.label, hidden))
+                [member_projectors(r.stack[members], weak_rank(group, r.label, hidden))
                  for r in tup], basis
             )
             assert masses.shape == (M.size, D)
