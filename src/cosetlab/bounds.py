@@ -58,7 +58,7 @@ from .irreps import (
     parse_label,
     wreath_matrices,
 )
-from .parallel import kahan_sum, ordered_map
+from .parallel import kahan_sum, ordered_map, wide_slices
 from .report import exact_node
 from .rng import CounterRng, haar_bases
 from .sampling import (
@@ -219,28 +219,35 @@ def _label_projectors(group: FiniteGroup, M: ConjugacyClass) -> tuple[list, list
     return ranks, [member_projectors(m, r) for m, r in zip(mats, ranks)]
 
 
-# rows of _tuple_task's per-trial array
+# rows of _tuple_task's per-basis array
 EXP_TV, FULL_TV, VARIANCE, DEVIATION = range(4)
-# complex Haar-basis entries per chunk of tuples (at least one tuple)
+# complex Haar-basis entries per chunk of (tuple, trial) bases (at least one
+# basis) and per column slice of a chunk's bases
 CHUNK_ENTRIES = 16_384
 
 
 def _tuple_task(projs, rank_totals, bases, k):
-    """C label tuples of one register-dimension signature, tuple c measured in
-    bases[c] (C, trials, D, D), with one (C, members, d, d) Pi_m stack per
-    register and the C nonzero rank products: the (C, 4, trials) EXP_TV to
-    DEVIATION rows and the (C, trials, members) L1 distances to uniform."""
+    """B Haar bases (B, D, D) of one register-dimension signature, each
+    measuring its own label tuple, with one (B, members, d, d) Pi_m stack
+    per register and the B nonzero rank products: the (B, 4) EXP_TV to
+    DEVIATION values and the (B, members) L1 distances to uniform.  The
+    bases are read in column slices of CHUNK_ENTRIES entries over the stack
+    (wide_slices: never one column), a member at a time, so besides the
+    bases no array outgrows a slice; a chunk of at most CHUNK_ENTRIES
+    entries is one slice.  Each mass has the bits of a whole-basis
+    measurement."""
     D = bases.shape[-1]
-    bases = np.ascontiguousarray(bases)  # copied once, not once per member
-    # (C, trials, members, D), a member at a time: no array outgrows the bases
-    raw = np.concatenate([projected_masses([p[:, None, w:w + 1] for p in projs], bases)
-                          for w in range(projs[0].shape[1])], axis=2)
-    mean_raw = raw.mean(axis=2)
-    probs = raw / rank_totals[:, None, None, None]
-    dists = np.sum(np.abs(probs - 1.0 / D), axis=3)
-    rows = (np.sum(np.abs(probs.mean(axis=2) - 1.0 / D), axis=2), dists.mean(axis=2),
-            np.mean(np.mean((raw - mean_raw[:, :, None]) ** 2, axis=2), axis=2),
-            np.mean(np.abs(mean_raw - 0.5 ** k), axis=2))
+    raw = np.empty((len(bases), projs[0].shape[1], D))
+    for cols in wide_slices(D, CHUNK_ENTRIES // (len(bases) * D)):
+        block = np.ascontiguousarray(bases[:, :, cols])  # copied once, not once per member
+        for w in range(raw.shape[1]):
+            raw[:, w:w + 1, cols] = projected_masses([p[:, w:w + 1] for p in projs], block)
+    mean_raw = raw.mean(axis=1)
+    probs = raw / rank_totals[:, None, None]
+    dists = np.sum(np.abs(probs - 1.0 / D), axis=2)
+    rows = (np.sum(np.abs(probs.mean(axis=1) - 1.0 / D), axis=1), dists.mean(axis=1),
+            np.mean(np.mean((raw - mean_raw[:, None]) ** 2, axis=1), axis=1),
+            np.mean(np.abs(mean_raw - 0.5 ** k), axis=1))
     return np.stack(rows, axis=1), dists
 
 
@@ -249,10 +256,11 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     """Enumerate every label tuple with its exact Plancherel and H weights,
     in one Haar basis per (tuple, trial), and reduce with deterministic
     ordered sums.  Returns the exact-mode fields of the report's "exact"
-    section and the quantiles of the per-triple distances.  The tuples are
-    measured in chunks of one register-dimension signature; a zero-rank
-    tuple's projector is 0, so it builds no basis and gets the values of
-    all-zero masses."""
+    section and the quantiles of the per-triple distances.  The (tuple,
+    trial) bases are built and measured in chunks of one register-dimension
+    signature and at most CHUNK_ENTRIES entries (at least one basis), which
+    may split a tuple's trials; a zero-rank tuple's projector is 0, so it
+    builds no basis and gets the values of all-zero masses."""
     if trials < 1:
         raise ValueError("need at least one basis trial")
     dims = character_table(group).dims.tolist()
@@ -271,20 +279,25 @@ def exact_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
             signatures.setdefault(tuple(dims[i] for i in tup), []).append(idx)
     chunks = []
     for signature, indices in signatures.items():
-        size = max(1, CHUNK_ENTRIES // (trials * prod(signature) ** 2))
-        chunks += [indices[s:s + size] for s in range(0, len(indices), size)]
+        # the signature's (tuple index, trial) pairs, in order
+        pairs = np.column_stack((np.repeat(indices, trials),
+                                 np.tile(np.arange(trials), len(indices))))
+        size = max(1, CHUNK_ENTRIES // prod(signature) ** 2)
+        chunks += [pairs[s:s + size] for s in range(0, len(pairs), size)]
 
     def run(chunk):
-        D = prod(dims[i] for i in tuples[chunk[0]])
-        streams = [CounterRng(seed, "bases", idx, t) for idx in chunk for t in range(trials)]
+        ids = chunk[:, 0].tolist()
+        D = prod(dims[i] for i in tuples[ids[0]])
+        streams = [CounterRng(seed, "bases", idx, t) for idx, t in chunk.tolist()]
         return _tuple_task(
-            [np.stack([projs[tuples[idx][r]] for idx in chunk]) for r in range(k)],
-            np.array([prod(ranks[i] for i in tuples[idx]) for idx in chunk]),
-            haar_bases(streams, D).reshape(len(chunk), trials, D, D), k)
+            [np.stack([projs[tuples[idx][r]] for idx in ids]) for r in range(k)],
+            np.array([prod(ranks[i] for i in tuples[idx]) for idx in ids]),
+            haar_bases(streams, D), k)
 
     for chunk, (chunk_rows, chunk_dists) in zip(
             chunks, ordered_map(run, chunks, threads=threads)):
-        rows[chunk], dists[chunk] = chunk_rows, chunk_dists
+        rows[chunk[:, 0], :, chunk[:, 1]] = chunk_rows
+        dists[chunk[:, 0], chunk[:, 1]] = chunk_dists
 
     # the exact tuple laws, in the itertools.product order of `tuples`; a
     # tuple has H weight 0 exactly when one of its ranks is 0
@@ -337,8 +350,8 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
     """Monte Carlo over (tuple, m, basis) triples, for tuple spaces too large
     to enumerate: tuple per-register from the Plancherel measure, m uniform
     in M, basis Haar-seeded.  Returns the (trials,) per-triple L1 distances
-    to uniform (pessimal 2 on zero-rank tuples).  No name holds a basis
-    across _tuple_task, so its contiguous copy replaces the basis."""
+    to uniform (pessimal 2 on zero-rank tuples).  _tuple_task measures each
+    basis in column slices, so a large basis is the one basis-sized array."""
     dims = character_table(group).dims.tolist()
     ranks, projs = _label_projectors(group, M)
     planch = weak_tuple_law(group, HiddenSubgroup(group), 1)
@@ -353,8 +366,8 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
         if rank_total:
             values[t] = _tuple_task(
                 [projs[i][None, w:w + 1] for i in tup], np.array([rank_total]),
-                rng.sub("basis").haar_basis(prod(dims[i] for i in tup))[None, None],
-                k)[1][0, 0, 0]
+                rng.sub("basis").haar_basis(prod(dims[i] for i in tup))[None],
+                k)[1][0, 0]
     return values
 
 

@@ -57,6 +57,7 @@ from .irreps import (
     exact_int,
     group_irreps,
     label_irrep,
+    label_matrices,
     label_str,
     parse_label,
     wreath_character,
@@ -82,7 +83,7 @@ from .sampling import (
     doubled_expectation,
     expected_isotypic_dimension,
     interference_moments,
-    multiregister_dist,
+    label_tuple_dist,
     projector_sum_bound,
     strong_dist,
     subset_expectation,
@@ -265,30 +266,32 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
     """All label k-tuples with exact weak probabilities, plus the conditional
     multiregister distribution for each tuple in the chosen basis."""
     k = args.k
-    names = character_table(group).names
+    table = character_table(group)
+    names = table.names
     if len(names) ** k > TUPLE_REPORT_CAP:
         raise CapExceededError(
             f"{len(names)}^{k} tuples exceed the report cap {TUPLE_REPORT_CAP}"
         )
     # the exact tuple law, in itertools.product order
     probs = weak_dist_tuples(group, hidden, k).exact_values()
-    reps = group_irreps(group)
+    dims = table.dims.tolist()
+    # each label's matrix at the hidden m: the one row the law reads
+    at_m = (None if hidden.trivial else
+            label_matrices(group, table.labels, [group.index(hidden.m)]))
 
     entries = []
     tuples = itertools.product(range(len(names)), repeat=k)
     for idx, (tup, prob) in enumerate(zip(tuples, probs)):
-        D = prod(reps[i].dim for i in tup)
+        D = prod(dims[i] for i in tup)
         conditional = None
         zero_rank = False
         if D <= args.tensor_cap:
             try:
-                regs = RegisterTuple(
-                    tuple(reps[i] for i in tup), tensor_cap=args.tensor_cap
-                )
                 basis = _basis_for(args, D, "tuple", idx)
-                conditional = [
-                    float(v) for v in multiregister_dist(regs, hidden, basis).values()
-                ]
+                dist = label_tuple_dist(group, [table.labels[i] for i in tup],
+                                        None if at_m is None else [at_m[i] for i in tup],
+                                        hidden, basis)
+                conditional = [float(v) for v in dist.values()]
             except ZeroRankError:
                 zero_rank = True
         entries.append({

@@ -439,6 +439,16 @@ def label_irrep(group: FiniteGroup, label) -> Irrep:
     return Irrep(group, label, stack)
 
 
+def label_matrices(group: FiniteGroup, labels, elements) -> list[np.ndarray]:
+    """Each label's (len(elements), d, d) matrices at the given element
+    indices, in label order, with the bytes of those rows of its irrep's
+    stack: wreath_matrices for wreath:n; for sym:n each label's Young
+    orthogonal stack, built and cut one label at a time."""
+    if isinstance(group, SymmetricGroup):
+        return [_yor_stacks(group.n, [lab])[0][elements] for lab in labels]
+    return wreath_matrices(group.n, labels, elements)
+
+
 def group_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
     if isinstance(group, SymmetricGroup):
         return sym_irreps(group.n)

@@ -29,3 +29,14 @@ def kahan_sum(values) -> float:
         carry = (t - total) - y
         total = t
     return total
+
+
+def wide_slices(count: int, step: int) -> list[slice]:
+    """Slices of range(count), step items each (at least two), with a
+    one-item remainder folded into the last slice, so only count 1 gives a
+    one-item slice.  numpy sends a one-column product to gemv, with other
+    bits than the gemm of a wider block, so a kernel that runs over these
+    slices keeps the bits it has on the whole batch."""
+    step = max(2, step)
+    cuts = [*range(0, max(1, count - 1), step), count]
+    return [slice(lo, hi) for lo, hi in zip(cuts, cuts[1:])]

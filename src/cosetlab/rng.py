@@ -33,7 +33,9 @@ order, positive real normalizers) of a square complex Gaussian matrix, run
 blocked and right-looking on a stack of same-size bases at once with the
 bits each has alone: einsum inner products inside a panel of columns, and
 matmuls cut into gemm slices of m * n * k <= 65,536, which OpenBLAS runs on
-one thread, for the later columns.
+one thread, for the later columns.  Draws and those later-column updates
+go a bounded group of rows at a time, so a large basis is the one
+basis-sized array its construction holds.
 """
 
 from __future__ import annotations
@@ -181,8 +183,9 @@ class CounterRng:
         return min(int(self.floats01(i, 1)[0] * n), n - 1)
 
 
-# haar_bases draws the rows of its Gaussian matrices in chunks of at most
-# this many complex entries over the whole stack (at least one row)
+# haar_bases draws the rows of its Gaussian matrices, and updates the
+# columns after each panel, in groups of at most this many complex entries
+# over the whole stack (at least one row, at least one tile)
 _DRAW_ENTRIES = 1 << 14
 
 # OpenBLAS runs a zgemm on one thread when m * n * k is small enough, and
@@ -214,9 +217,13 @@ def haar_bases(streams, d: int) -> np.ndarray:
     columns, each normalized column leaves the panel's later ones through an
     einsum; then the panel leaves every later column through two stacked
     matmuls, cut into tiles so that every gemm slice has m * n * k <=
-    _GEMM_SLICE and runs on one BLAS thread.  The norms have np.linalg.norm's
-    bits, and each basis has the bits it has alone, whatever the BLAS thread
-    count.  At d <= 16 there is one panel and no matmul."""
+    _GEMM_SLICE and runs on one BLAS thread, a group of tiles of at most
+    _DRAW_ENTRIES entries at a time.  The Gaussian rows are drawn in groups
+    of the same size, so no temporary grows with the stack past a group; a
+    stack of at most _DRAW_ENTRIES entries is one draw and one pass per
+    panel.  The norms have np.linalg.norm's bits, and each basis has the
+    bits it has alone, whatever the BLAS thread count or the group sizes.
+    At d <= 16 there is one panel and no matmul."""
     tile, panel = _gemm_tiles(d)
     bases = [s._base for s in streams]
     # Gaussian rows go into q's columns _DRAW_ENTRIES at a time (one draw for
@@ -236,6 +243,9 @@ def haar_bases(streams, d: int) -> np.ndarray:
         rows = min(step, d - first)
         q[:, :d, first:first + rows] = _complex_gaussians(
             bases, rows, d, first).transpose(0, 2, 1)
+    # the later columns leave each panel `group` rows at a time: every tile
+    # is one gemm slice, so the grouping does not move a bit
+    group = tile * max(1, _DRAW_ENTRIES // max(1, len(q) * tile * d))
     for start in range(0, d, panel):
         stop = min(start + panel, d)
         for i in range(start, stop):
@@ -251,6 +261,8 @@ def haar_bases(streams, d: int) -> np.ndarray:
             rest -= np.multiply(h[:, :, None], c[:, None], order="C")
         if stop < d:
             p = q[:, None, start:stop]
-            trail = q[:, stop:].reshape(len(q), -1, tile, d)
-            trail -= (trail @ p.conj().transpose(0, 1, 3, 2)) @ p
+            ph = p.conj().transpose(0, 1, 3, 2)
+            for lo in range(stop, q.shape[1], group):
+                trail = q[:, lo:lo + group].reshape(len(q), -1, tile, d)
+                trail -= (trail @ ph) @ p
     return q[:, :d].transpose(0, 2, 1)

@@ -67,8 +67,10 @@ from .irreps import (
     MatrixRep,
     character_table,
     group_irreps,
+    label_dim,
     label_str,
 )
+from .parallel import wide_slices
 from .rng import CounterRng
 
 DEFAULT_TENSOR_CAP = 4096
@@ -82,6 +84,12 @@ _DENSE_LIMIT = 1 << 25
 # The doubled kernel walks the group in chunks of at most this many
 # elements * D^2 entries.
 _CHUNK_ENTRIES = 1 << 14
+# isotypic_masses's dense path walks it in chunks of at most this many: 512 KB
+# float64 stacks.  At 2^14, `verify --group wreath:3 --k 3` took 5-14% more
+# CPU than with whole-group stacks and peaked no lower than at 2^16 (Linux,
+# glibc malloc: the heap was trimmed between the doubled kernel's chunks, with
+# 5x the page faults).
+_DENSE_CHUNK_ENTRIES = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -286,18 +294,20 @@ def weak_dist_tuples(group: FiniteGroup, hidden: HiddenSubgroup,
 def strong_dist(rep: Irrep, hidden: HiddenSubgroup,
                 basis: MeasurementBasis) -> SamplingDistribution:
     """Distribution of the measured basis vector inside one observed irrep."""
-    return _strong_stage("strong", RegisterTuple((rep,), rep.dim), hidden, basis)
+    return _strong_stage("strong", (rep,), hidden, basis)
 
 
 def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
-    """||(P_0[w] (x) ... (x) P_{k-1}[w]) b_j||^2 for every w and every basis
-    column b_j.
+    """||(P_0[w] (x) ... (x) P_{k-1}[w]) b_j||^2 for every w and every column
+    b_j of a basis block.
 
     projectors holds one (..., W, d_i, d_i) stack per register and basis
-    (..., D, D) matrices of columns, D the product of the d_i, leading axes
-    broadcast.  Returns the (..., W, D) masses, a matmul per register.
+    (..., D, w) blocks of w basis columns, D the product of the d_i, leading
+    axes broadcast.  Returns the (..., W, w) masses, a matmul per register.
+    A column's mass has the same bits in any block of two or more columns;
+    a one-column block has others (numpy sends its products to gemv).
     """
-    D = basis.shape[-1]
+    D = basis.shape[-2]
     block = basis[..., None, None, :, :]
     lead = 1
     for proj in projectors:
@@ -305,50 +315,66 @@ def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
         # register i is axis -2 of the (..., W, d_0 * ... * d_{i-1}, d_i, rest) view
         block = proj[..., None, :, :] @ block.reshape(*block.shape[:-3], lead, d, -1)
         lead *= d
-    return np.sum(np.abs(block.reshape(*block.shape[:-3], D, D)) ** 2, axis=-2)
+    return np.sum(np.abs(block.reshape(*block.shape[:-3], D, -1)) ** 2, axis=-2)
 
 
 def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
                        basis: MeasurementBasis) -> SamplingDistribution:
     """Strong measurement on the tensor product of k registers, one shared m."""
-    return _strong_stage("multiregister", registers, hidden, basis)
+    return _strong_stage("multiregister", registers.irreps, hidden, basis)
 
 
-def _strong_stage(context: str, registers: RegisterTuple, hidden: HiddenSubgroup,
+def _strong_stage(context: str, irreps, hidden: HiddenSubgroup,
                   basis: MeasurementBasis) -> SamplingDistribution:
-    """Basis vector b_j comes up with ||Pi_m^(x)k b_j||^2 / rank, the rank
-    being the exact product of the registers' weak ranks."""
-    D = registers.total_dim
+    """label_tuple_dist of the irreps, each read at the hidden m."""
+    group = irreps[0].group
+    at_m = None
+    if not hidden.trivial:
+        if group.spec != hidden.group.spec:
+            raise GroupMismatchError("rep and hidden subgroup live over different groups")
+        member = [group.index(hidden.m)]
+        at_m = [rep.stack[member] for rep in irreps]
+    return label_tuple_dist(group, [rep.label for rep in irreps], at_m, hidden, basis,
+                            context)
+
+
+def label_tuple_dist(group: FiniteGroup, labels, at_m, hidden: HiddenSubgroup,
+                     basis: MeasurementBasis,
+                     context: str = "multiregister") -> SamplingDistribution:
+    """The multiregister (or, for one register, strong) distribution of
+    registers with these irrep labels of the group: basis vector b_j comes
+    up with ||Pi_m^(x)k b_j||^2 / rank, the rank being the exact product of
+    the registers' weak ranks.  It reads each register's (1, d, d) matrix
+    at_m at the hidden m alone (none for the trivial subgroup), so no
+    register needs its whole stack."""
+    D = prod(label_dim(lab) for lab in labels)
     if basis.dim != D:
         raise ValueError(f"basis dim {basis.dim} != tensor dim {D}")
-    labels = tuple(f"b{j}" for j in range(D))
-    group = registers.group
+    outcomes = tuple(f"b{j}" for j in range(D))
+    names = tuple(label_str(lab) for lab in labels)
     if hidden.trivial:
         # Pi_H is exactly the identity and each basis vector is unit, so the
         # distribution is uniform with no arithmetic to do.
         return uniform_distribution(
-            labels, context, group.spec, "trivial", registers=registers.labels
+            outcomes, context, group.spec, "trivial", registers=names
         )
-    if group.spec != hidden.group.spec:
-        raise GroupMismatchError("rep and hidden subgroup live over different groups")
-    member = [group.index(hidden.m)]
     projs = []
     rank_total = 1
-    for i, rep in enumerate(registers.irreps):
-        rank = weak_rank(group, rep.label, hidden)
+    for i, (lab, name, mat) in enumerate(zip(labels, names, at_m)):
+        rank = weak_rank(group, lab, hidden)
         if rank == 0:
             raise ZeroRankError(
-                f"{rep.name}: Pi_H has rank 0 for m = {hidden.m}; this label "
+                f"{name}: Pi_H has rank 0 for m = {hidden.m}; this label "
                 "never survives the weak stage" if context == "strong" else
-                f"register {i} ({rep.name}): Pi_H has rank 0 for m = {hidden.m}"
+                f"register {i} ({name}): Pi_H has rank 0 for m = {hidden.m}"
             )
-        projs.append(member_projectors(rep.stack[member], rank))
+        projs.append(member_projectors(mat, rank))
         rank_total *= rank
     masses = projected_masses(projs, basis.vectors)[0]
-    outcomes = tuple((labels[j], float(masses[j] / rank_total)) for j in range(D))
     return SamplingDistribution(
-        context, group.spec, hidden.descriptor(), outcomes,
-        registers=registers.labels,
+        context, group.spec, hidden.descriptor(),
+        tuple((outcomes[j], float(masses[j] / rank_total)) for j in range(D)),
+        registers=names,
     )
 
 
@@ -453,18 +479,23 @@ def isotypic_masses(registers: RegisterTuple, subsets, b: np.ndarray) -> np.ndar
     a (len(subsets), irreps) array from the overlaps <b, g^subset b>.
 
     Up to _DENSE_LIMIT entries (|G| * D^2) a subset's overlaps are one
-    einsum over its dense stack, whose bits the verify reports print; past
-    it a per-element tensordot loop, which is faster there and never holds
-    the stack, so both forks stay."""
+    einsum over its dense stack, whose bits the verify reports print, taken
+    over wide_slices of at most _DENSE_CHUNK_ENTRIES elements * D^2 entries
+    (at least two elements) with the bits of the whole stack; past it a
+    per-element tensordot loop, which is faster there and never holds the
+    stack, so both forks stay."""
     group, D = registers.group, registers.total_dim
     stacks = [rep.stack for rep in registers.irreps]
     per = np.empty((len(subsets), group.order), dtype=np.complex128)
+    if group.order * D * D <= _DENSE_LIMIT:
+        for chunk in wide_slices(group.order, _DENSE_CHUNK_ENTRIES // (D * D)):
+            part = [stack[chunk] for stack in stacks]
+            for row, subset in zip(per, subsets):
+                # no name holds the stack, so the last one is freed before the next
+                row[chunk] = np.einsum("i,gij,j->g", b.conj(),
+                                       _span_stack(part, subset, 0, registers.k), b)
+        return _class_masses(group, per)
     for row, subset in zip(per, subsets):
-        if group.order * D * D <= _DENSE_LIMIT:
-            # no name holds the stack, so the last one is freed before the next
-            row[:] = np.einsum("i,gij,j->g", b.conj(),
-                               _span_stack(stacks, subset, 0, registers.k), b)
-            continue
         for gi in range(group.order):
             v = b.reshape(registers.dims)
             for i in subset:

@@ -12,7 +12,7 @@ from cosetlab.errors import BoundUndefinedError, CapExceededError, GroupMismatch
 from cosetlab.groups import cached_group, involution_class
 from cosetlab.irreps import character_table, group_irreps, irrep_labels
 from cosetlab.oracle import exact_tv
-from cosetlab.parallel import kahan_sum
+from cosetlab.parallel import kahan_sum, wide_slices
 from cosetlab.report import json_text
 from cosetlab.rng import CounterRng
 from cosetlab.sampling import (
@@ -317,14 +317,108 @@ def _refuse_bases(monkeypatch, refuse) -> None:
     monkeypatch.setattr(bounds, "haar_bases", refuse)
 
 
-@pytest.mark.parametrize("n,k,trials", [(2, 3, 2), (3, 2, 3), (3, 3, 1)])
+@pytest.mark.parametrize("n,k,trials", [(2, 3, 2), (3, 2, 3), (3, 3, 1), (3, 3, 3)])
 def test_exact_enumeration_does_not_depend_on_its_chunks(monkeypatch, n, k, trials):
-    # the default chunks, the same over two threads, and one tuple per chunk
+    # the default chunks, one basis per chunk, and chunks of 2 or 3 bases at
+    # the largest D, which split a tuple's trials across chunks unless trials
+    # is 1; each over one and two threads
     g, M = _setup(n)
-    runs = [bounds.exact_enumeration(g, M, k, 5, trials, threads) for threads in (1, 2)]
-    monkeypatch.setattr(bounds, "CHUNK_ENTRIES", 1)
-    runs.append(bounds.exact_enumeration(g, M, k, 5, trials))
-    assert runs[0] == runs[1] == runs[2]
+    want = bounds.exact_enumeration(g, M, k, 5, trials)
+    D = int(character_table(g).dims.max()) ** k
+    for entries in (bounds.CHUNK_ENTRIES, 1, 2 * D * D, 3 * D * D + 1):
+        monkeypatch.setattr(bounds, "CHUNK_ENTRIES", entries)
+        for threads in (1, 2):
+            assert bounds.exact_enumeration(g, M, k, 5, trials, threads) == want
+
+
+@pytest.mark.parametrize("entries", [1, 3 * 16 * 16, bounds.CHUNK_ENTRIES])
+def test_no_exact_chunk_outgrows_its_budget_unless_one_basis_does(monkeypatch, entries):
+    # every haar_bases call gets at most max(1, CHUNK_ENTRIES // D^2) streams
+    g, M = _setup(3)
+    calls = []
+    haar_bases = rng.haar_bases
+
+    def counting(streams, d):
+        calls.append((d, len(streams)))
+        return haar_bases(streams, d)
+
+    monkeypatch.setattr(bounds, "haar_bases", counting)
+    monkeypatch.setattr(bounds, "CHUNK_ENTRIES", entries)
+    hidden = HiddenSubgroup(g, M.representative)
+    useful = sum(1 for lab in irrep_labels(g) if weak_rank(g, lab, hidden) > 0)
+    k, trials = 2, 3
+    bounds.exact_enumeration(g, M, k, seed=4, trials=trials)
+    assert sum(count for _, count in calls) == useful ** k * trials
+    assert all(count <= max(1, entries // (d * d)) for d, count in calls)
+    if entries == 3 * 16 * 16:
+        # a full chunk at D = 8 holds 12 bases: the trials of four tuples
+        assert (8, 12) in calls
+
+
+def _parent_tuple_task(projs, rank_totals, bases, k):
+    """_tuple_task as it was before it measured column slices, kept
+    literally as a reference: C tuples of T bases (C, T, D, D), one
+    contiguous copy, then one projected_masses call per member."""
+    D = bases.shape[-1]
+    bases = np.ascontiguousarray(bases)  # copied once, not once per member
+    # (C, trials, members, D), a member at a time: no array outgrows the bases
+    raw = np.concatenate([projected_masses([p[:, None, w:w + 1] for p in projs], bases)
+                          for w in range(projs[0].shape[1])], axis=2)
+    mean_raw = raw.mean(axis=2)
+    probs = raw / rank_totals[:, None, None, None]
+    dists = np.sum(np.abs(probs - 1.0 / D), axis=3)
+    rows = (np.sum(np.abs(probs.mean(axis=2) - 1.0 / D), axis=2), dists.mean(axis=2),
+            np.mean(np.mean((raw - mean_raw[:, :, None]) ** 2, axis=2), axis=2),
+            np.mean(np.abs(mean_raw - 0.5 ** k), axis=2))
+    return np.stack(rows, axis=1), dists
+
+
+def _assert_sliced_task_has_the_parents_bits(g, M, tup, trials, members):
+    """_tuple_task on `trials` Haar bases of one label tuple, Pi_m at the
+    given members, against _parent_tuple_task on the same bases."""
+    ranks, projs = bounds._label_projectors(g, M)
+    D = math.prod(int(character_table(g).dims[i]) for i in tup)
+    bases = rng.haar_bases([CounterRng(9, "slices", *tup, t) for t in range(trials)], D)
+    stacks = [projs[i][None, members] for i in tup]
+    rank_total = np.array([math.prod(ranks[i] for i in tup)])
+    rows, dists = bounds._tuple_task([np.repeat(p, trials, axis=0) for p in stacks],
+                                     np.repeat(rank_total, trials), bases, len(tup))
+    want_rows, want_dists = _parent_tuple_task(stacks, rank_total, bases[None], len(tup))
+    assert np.array_equal(rows, want_rows[0].T) and np.array_equal(dists, want_dists[0])
+
+
+def test_a_large_basis_is_measured_in_slices_with_the_bits_of_one_copy():
+    # d = 324 (wreath:4, k = 2): 50-column slices, the last 24 wide
+    g, M = _setup(4)
+    top = int(np.argmax(character_table(g).dims))
+    assert bounds.CHUNK_ENTRIES // (324 * 324) == 0
+    _assert_sliced_task_has_the_parents_bits(g, M, (top, top), 1, [0, 5, 11])
+
+
+@pytest.mark.parametrize("step", [2, 3, 5])
+def test_ragged_slices_have_the_bits_of_one_copy(monkeypatch, step):
+    # every D of wreath:3 at k = 3, two bases per call, slices of `step`
+    # columns with a one-column remainder folded into the last slice
+    g, M = _setup(3)
+    hidden = HiddenSubgroup(g, M.representative)
+    dims = character_table(g).dims.tolist()
+    useful = [i for i, lab in enumerate(irrep_labels(g)) if weak_rank(g, lab, hidden) > 0]
+    by_D = {}
+    for tup in itertools.product(useful, repeat=3):
+        by_D.setdefault(math.prod(dims[i] for i in tup), tup)
+    assert sorted(by_D) == [1, 2, 4, 8, 16, 32, 64]
+    for D, tup in by_D.items():
+        monkeypatch.setattr(bounds, "CHUNK_ENTRIES", 2 * D * step)
+        _assert_sliced_task_has_the_parents_bits(g, M, tup, 2, list(range(M.size)))
+
+
+def test_wide_slices_cover_the_range_and_are_never_one_wide():
+    for count in range(1, 70):
+        for step in range(0, 12):
+            cuts = wide_slices(count, step)
+            assert [i for cut in cuts for i in range(count)[cut]] == list(range(count))
+            widths = [cut.stop - cut.start for cut in cuts]
+            assert all(2 <= w <= max(2, step) + 1 for w in widths) or widths == [1] == [count]
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -450,10 +544,12 @@ def test_pipeline_builds_matrices_only_for_the_control_and_at_the_members(monkey
     assert calls == [(1, g.order), (len(irrep_labels(g)), M.size)]
 
 
-def test_warm_sampled_pipeline_peaks_under_7_mb():
+def test_warm_sampled_pipeline_peaks_under_3_5_mb():
     # All wreath:4 stacks are 10.6 MB; a whole d = 324 Gaussian draw and its
-    # temporaries peaked at 5.9 MB.  Warm: the group, classes and table are
-    # cached by the first run.
+    # temporaries peaked at 5.9 MB, and a contiguous copy of the d = 324
+    # basis with its register blocks at 5.3 MB.  Measured in column slices
+    # the peak reads 3.0 MB: the basis (1.7 MB) and a few 50-column slices.
+    # Warm: the group, classes and table are cached by the first run.
     bounds.theorem_pipeline(4, 2, seed=3, trials=10)
     tracemalloc.start()
     try:
@@ -461,7 +557,7 @@ def test_warm_sampled_pipeline_peaks_under_7_mb():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 7_000_000
+    assert peak < 3_500_000
 
 
 def test_pipeline_wreath2_k1_all_pass():

@@ -136,6 +136,55 @@ def test_tuple_report(capsys):
             assert e["zero_rank"] or e["weak"]["exact"] == "0"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "sym:3", "--k", "2"],
+    ["--group", "sym:4", "--k", "2", "--basis", "haar", "--m", "(01)(23)"],
+    ["--group", "wreath:2", "--k", "2", "--m-index", "1", "--basis", "haar"],
+    ["--group", "wreath:3", "--k", "2", "--basis", "haar", "--tensor-cap", "8"],
+    ["--group", "wreath:3", "--k", "2", "--trivial", "--basis", "haar"],
+])
+def test_tuple_report_builds_matrices_only_at_the_hidden_m(monkeypatch, capsys, argv):
+    # same stdout with every all-stack builder refusing; each label's
+    # matrices are built once, at the hidden m alone (none for --trivial)
+    argv = ["sample", "--seed", "3", *argv]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+
+    def refuse(*args):
+        raise AssertionError("every irrep stack of the group was built")
+
+    for name in ("group_irreps", "sym_irreps", "wreath_irreps"):
+        monkeypatch.setattr(irreps, name, refuse)
+    monkeypatch.setattr(cli, "group_irreps", refuse)
+    label_matrices = irreps.label_matrices
+    calls = []
+
+    def recording(group, labels, elements):
+        calls.append((len(labels), list(elements)))
+        return label_matrices(group, labels, elements)
+
+    monkeypatch.setattr(cli, "label_matrices", recording)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+    group = cached_group(argv[argv.index("--group") + 1])
+    if "--trivial" in argv:
+        assert calls == []
+    else:
+        (count, elements), = calls
+        assert count == len(character_table(group).labels) and len(elements) == 1
+        assert json.loads(want.out)["subgroup"] == str(group.elements[elements[0]])
+
+
+def test_label_matrices_have_the_bytes_of_the_irrep_stacks():
+    for spec in ("sym:1", "sym:3", "sym:4", "wreath:2", "wreath:3"):
+        group = cached_group(spec)
+        labels = character_table(group).labels
+        picks = [0, group.order - 1, group.order // 2, 0]
+        for rep, mats in zip(irreps.group_irreps(group),
+                             irreps.label_matrices(group, labels, picks), strict=True):
+            assert mats.tobytes() == rep.stack[picks].tobytes()
+
+
 def test_sample_flag_conflicts(capsys):
     assert main(["sample", "--group", "sym:3", "--weak", "--strong"]) == 2
     assert main(["sample", "--group", "sym:3", "--weak", "--trivial",

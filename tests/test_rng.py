@@ -222,14 +222,16 @@ def test_haar_bases_have_the_bits_of_one_basis_at_a_time(d):
 
 @pytest.mark.parametrize("d", [1, 2, 5, 16, 17, 40, 64, 128, 129, 216, 324])
 def test_haar_bases_do_not_depend_on_the_draws_chunks(monkeypatch, d):
-    # one draw of the whole stack, one row of the stack per draw, and 7 rows
-    # per draw (a ragged last chunk unless 7 divides d)
+    # one draw and one trailing pass for the whole stack; one row per draw
+    # and one tile per trailing group; 7 rows per draw (a ragged last chunk
+    # unless 7 divides d); and 3 tiles per trailing group (ragged at most d)
+    tile = _gemm_tiles(d)[0]
     for streams in ([CounterRng(4, "chunks", d)], [CounterRng(s, "chunks") for s in range(3)]):
         runs = []
-        for entries in (1 << 40, 1, 7 * len(streams) * d + 3):
+        for entries in (1 << 40, 1, 7 * len(streams) * d + 3, 3 * len(streams) * tile * d + 5):
             monkeypatch.setattr(rng, "_DRAW_ENTRIES", entries)
             runs.append(haar_bases(streams, d))
-        assert np.array_equal(runs[0], runs[1]) and np.array_equal(runs[0], runs[2])
+        assert all(np.array_equal(runs[0], run) for run in runs[1:])
 
 
 def test_a_small_stack_is_one_draw_and_a_large_basis_is_chunked(monkeypatch):

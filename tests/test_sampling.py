@@ -707,13 +707,21 @@ def _one_subset_masses(regs, subset, b):
 
 
 @pytest.mark.parametrize("group,k,stream", DOUBLED_CASES)
-def test_batched_isotypic_rows_have_the_bits_of_one_subset_calls(group, k, stream):
+def test_batched_isotypic_rows_have_the_bits_of_one_subset_calls(monkeypatch, group, k, stream):
+    # the default element chunks, then budgets of 1 element (wide_slices
+    # makes chunks of two) and of 2, 5, 7 and 23 elements: a ragged last
+    # chunk, with a one-element remainder folded into it at 8 % 7 and 24 % 23
     regs, b = _random_registers(group, k, stream)
     all_subs = subsets(k)
-    masses = isotypic_masses(regs, all_subs, b)
-    assert masses.shape == (len(all_subs), len(group_irreps(group)))
-    for sub, row in zip(all_subs, masses, strict=True):
-        assert np.array_equal(row, _one_subset_masses(regs, sub, b)), sub
+    want = [_one_subset_masses(regs, sub, b) for sub in all_subs]
+    D = regs.total_dim
+    for step in (None, 1, 2, 5, 7, 23):
+        if step:
+            monkeypatch.setattr(sampling, "_DENSE_CHUNK_ENTRIES", step * D * D)
+        masses = isotypic_masses(regs, all_subs, b)
+        assert masses.shape == (len(all_subs), len(group_irreps(group)))
+        for sub, row, want_row in zip(all_subs, masses, want, strict=True):
+            assert np.array_equal(row, want_row), (step, sub)
 
 
 def test_class_masses_refuse_an_imaginary_mass():
