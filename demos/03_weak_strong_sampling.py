@@ -37,14 +37,14 @@ print("  ...")
 
 std = next(r for r in group_irreps(sym) if r.dim == 2)
 print(f"\nstrong sampling inside {std.name} (standard basis):")
-dist = strong_dist(std, hidden, MeasurementBasis.standard(2))
+dist = strong_dist(sym, std.label, hidden, MeasurementBasis.standard(2))
 print(" ", [round(float(p), 6) for p in dist.values()])
 
 basis = MeasurementBasis.haar(2, CounterRng(7, "demo"))
-dist = strong_dist(std, hidden, basis)
+dist = strong_dist(sym, std.label, hidden, basis)
 print("strong sampling, seeded random basis:")
 print(" ", [round(float(p), 6) for p in dist.values()])
-dist = strong_dist(std, trivial, basis)
+dist = strong_dist(sym, std.label, trivial, basis)
 print("same basis, trivial subgroup (exactly uniform):")
 print(" ", [str(p) for p in dist.exact_values()])
 
@@ -59,6 +59,6 @@ for lab, p in weak_dist(wreath, wh).outcomes:
 # the weak stage; asking for their strong law is a typed error
 sign = next(r for r in group_irreps(wreath) if r.name == "([2],-)")
 try:
-    strong_dist(sign, wh, MeasurementBasis.standard(1))
+    strong_dist(wreath, sign.label, wh, MeasurementBasis.standard(1))
 except ZeroRankError as exc:
     print(f"\nzero-rank label: {exc}")

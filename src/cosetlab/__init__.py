@@ -41,9 +41,11 @@ from .irreps import (
     Irrep,
     MatrixRep,
     character_table,
+    check_matrix_cap,
     group_irreps,
     irrep_labels,
     label_dim,
+    label_matrices,
     label_str,
     parse_label,
     plancherel,
@@ -91,8 +93,8 @@ __all__ = [
     "WreathElement", "WreathGroup", "cached_group", "conjugate",
     "group_from_spec", "involution_class", "parse_cycles",
     "parse_permutation", "parse_wreath_element",
-    "Irrep", "MatrixRep", "character_table", "group_irreps", "irrep_labels",
-    "label_dim", "label_str", "parse_label",
+    "Irrep", "MatrixRep", "character_table", "check_matrix_cap", "group_irreps",
+    "irrep_labels", "label_dim", "label_matrices", "label_str", "parse_label",
     "plancherel", "wreath_character", "young_orthogonal_rep",
     "CounterRng",
     "HiddenSubgroup", "MeasurementBasis", "RegisterTuple",

@@ -51,12 +51,11 @@ from .groups import (
 from .irreps import (
     DiagonalLabel,
     character_table,
-    check_wreath_n,
+    check_matrix_cap,
     irrep_labels,
-    label_irrep,
+    label_matrices,
     label_str,
     parse_label,
-    wreath_matrices,
 )
 from .parallel import kahan_sum, ordered_map, wide_slices
 from .report import exact_node
@@ -65,9 +64,8 @@ from .sampling import (
     DEFAULT_TENSOR_CAP,
     HiddenSubgroup,
     MeasurementBasis,
-    RegisterTuple,
+    label_tuple_dist,
     member_projectors,
-    multiregister_dist,
     normalized_characters,
     projected_masses,
     weak_rank,
@@ -210,12 +208,12 @@ def _check_tensor_cap(group: FiniteGroup, k: int, tensor_cap: int) -> None:
 
 def _label_projectors(group: FiniteGroup, M: ConjugacyClass) -> tuple[list, list]:
     """Each label's exact weak rank and its (|M|, d, d) stack of Pi_m over
-    the members of M, in label order, from the wreath matrices at those
-    members only."""
+    the members of M, in label order, from label_matrices at those members
+    only."""
     hidden = HiddenSubgroup(group, M.representative)
     labels = character_table(group).labels
     ranks = [weak_rank(group, lab, hidden) for lab in labels]
-    mats = wreath_matrices(group.n, labels, [group.index(m) for m in M.members])
+    mats = label_matrices(group, labels, [group.index(m) for m in M.members])
     return ranks, [member_projectors(m, r) for m, r in zip(mats, ranks)]
 
 
@@ -374,18 +372,18 @@ def sampled_enumeration(group: FiniteGroup, M: ConjugacyClass, k: int,
 # ---------------------------------------------------------------------------
 # The assembled pipeline
 
-def _control_tv(group, k, tensor_cap) -> float:
+def _control_tv(group, k) -> float:
     """Trivial-subgroup control: the multiregister distribution must be
     exactly uniform, whatever the basis, so the standard one serves.  k
-    registers of the first irrep of dimension above 1, the only irrep it
-    builds; _check_tensor_cap has passed, so they fit."""
+    registers of the first irrep of dimension above 1, through
+    label_tuple_dist, which reads no matrix for the trivial subgroup, so
+    none is built; _check_tensor_cap has passed, so they fit."""
     table = character_table(group)
     pick = next((i for i, d in enumerate(table.dims.tolist()) if d > 1), 0)
-    tup = RegisterTuple((label_irrep(group, table.labels[pick]),) * k,
-                        tensor_cap=tensor_cap)
-    basis = MeasurementBasis.standard(tup.total_dim)
-    dist = multiregister_dist(tup, HiddenSubgroup(group), basis)
-    uniform = Fraction(1, tup.total_dim)
+    D = int(table.dims[pick]) ** k
+    dist = label_tuple_dist(group, [table.labels[pick]] * k, None, HiddenSubgroup(group),
+                            MeasurementBasis.standard(D))
+    uniform = Fraction(1, D)
     return float(sum((abs(p - uniform) for p in dist.exact_values()), Fraction(0)))
 
 
@@ -397,7 +395,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
     are {"exact", "value"} nodes; a quantity the mode does not compute is
     None.  n is checked against the wreath matrix cap before any group is
     built."""
-    check_wreath_n(n)
+    check_matrix_cap(WreathGroup(n))
     group = cached_group(f"wreath:{n}")
     M = involution_class(group)
     bad = build_bad_set(group, M, rule)
@@ -418,7 +416,7 @@ def theorem_pipeline(n: int, k: int, seed: int = 0, trials: int = 20,
         "expectation_deviation_max", "zero_rank_mass"))
     exact["weak_tv"] = exact_node(weak_x)
     flags = {"weak_tv": weak_b >= weak_x}
-    control = _control_tv(group, k, tensor_cap)
+    control = _control_tv(group, k)
     flags["control_trivial"] = control == 0.0
     cutoff_ok = None
     if rule == CUTOFF_RULE:

@@ -53,10 +53,11 @@ from .irreps import (
     MatrixRep,
     PairLabel,
     character_table,
+    check_matrix_cap,
     class_character,
     exact_int,
     group_irreps,
-    label_irrep,
+    label_dim,
     label_matrices,
     label_str,
     parse_label,
@@ -234,22 +235,24 @@ def cmd_irreps(args) -> int:
 def cmd_sample(args) -> int:
     _require_counts(args, "k")
     group = cached_group(args.group)
-    hidden = _resolve_hidden(group, args)
     if args.weak and args.strong:
         raise UsageError("--weak and --strong are mutually exclusive")
+    if args.strong and args.label is None:
+        raise UsageError("--strong needs --label")
+    if not (args.weak or args.trivial):
+        check_matrix_cap(group)
+    hidden = _resolve_hidden(group, args)
     if args.weak:
         dist = (weak_dist(group, hidden) if args.k == 1
                 else weak_dist_tuples(group, hidden, args.k))
     elif args.strong:
-        if args.label is None:
-            raise UsageError("--strong needs --label")
         target = parse_label(args.label)
         try:
-            rep = label_irrep(group, target)
+            character_table(group).position(target)
         except KeyError:
             raise UsageError(f"{args.label} is not an irrep of {group.spec}") from None
-        basis = _basis_for(args, rep.dim, "strong", label_str(target))
-        dist = strong_dist(rep, hidden, basis)
+        basis = _basis_for(args, label_dim(target), "strong", label_str(target))
+        dist = strong_dist(group, target, hidden, basis)
     else:
         payload = _tuple_report(group, hidden, args)
         dist = None
@@ -278,22 +281,21 @@ def _tuple_report(group: FiniteGroup, hidden: HiddenSubgroup, args) -> dict:
     # each label's matrix at the hidden m: the one row the law reads
     at_m = (None if hidden.trivial else
             label_matrices(group, table.labels, [group.index(hidden.m)]))
+    ranks = [weak_rank(group, lab, hidden) for lab in table.labels]
 
     entries = []
     tuples = itertools.product(range(len(names)), repeat=k)
     for idx, (tup, prob) in enumerate(zip(tuples, probs)):
         D = prod(dims[i] for i in tup)
         conditional = None
-        zero_rank = False
-        if D <= args.tensor_cap:
-            try:
-                basis = _basis_for(args, D, "tuple", idx)
-                dist = label_tuple_dist(group, [table.labels[i] for i in tup],
-                                        None if at_m is None else [at_m[i] for i in tup],
-                                        hidden, basis)
-                conditional = [float(v) for v in dist.values()]
-            except ZeroRankError:
-                zero_rank = True
+        # a zero-rank tuple draws no basis; each tuple has its own stream
+        zero_rank = D <= args.tensor_cap and 0 in (ranks[i] for i in tup)
+        if D <= args.tensor_cap and not zero_rank:
+            basis = _basis_for(args, D, "tuple", idx)
+            dist = label_tuple_dist(group, [table.labels[i] for i in tup],
+                                    None if at_m is None else [at_m[i] for i in tup],
+                                    hidden, basis)
+            conditional = [float(v) for v in dist.values()]
         entries.append({
             "labels": [names[i] for i in tup],
             "weak": exact_node(prob),
@@ -573,6 +575,8 @@ def cmd_verify(args) -> int:
         group = cached_group(args.group)
         if "induced" in names and not (isinstance(group, WreathGroup) and group.n <= 3):
             raise UsageError("--lemma induced needs a wreath group with n <= 3")
+        if set(names) - {"expected-decomp"}:
+            check_matrix_cap(group)
         if _INVOLUTION_LEMMAS.intersection(names):
             _involution(group)
     built = {}

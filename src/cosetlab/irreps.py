@@ -29,10 +29,12 @@ W(n) irreps come in two families:
     ((alpha,beta),t) -> (rho(alpha) (x) rho(beta)) . (sign * SWAP)^t,
     dimension d_rho^2.
 
-wreath_matrices is the one builder of these matrices, at any list of
-element indices, so bounds builds Pi_m's matrices at the members of the
-involution class only; wreath_irreps is its all-elements case, and
-label_irrep builds one label's irrep alone.
+label_matrices(group, labels, elements) is the one builder of irrep
+matrices of either family, at any list of element indices, after the one
+matrix cap check_matrix_cap: one Young walk for sym:n, wreath_matrices for
+wreath:n.  So bounds builds Pi_m's matrices at the members of the
+involution class only and `sample --strong` at the hidden m only;
+group_irreps is its every-element case.
 
 Characters are exact integers throughout (Murnaghan-Nakayama plus the
 wreath character rules in wreath_character); matrices are float64, since
@@ -272,15 +274,13 @@ def _yor_generator(lam: Partition, i: int) -> np.ndarray:
     return mat
 
 
-def _yor_stacks(n: int, shapes) -> list[np.ndarray]:
-    """Young's orthogonal form stacks of the given partitions of n, all
-    filled from one level-at-a-time walk of the module docstring: per level
-    the children, their parents and generators as index arrays, then
-    stack[g * s] = stack[g] @ mats[s] as one batched matmul per level."""
-    if n > MAX_YOR_N:
-        raise CapExceededError(
-            f"orthogonal-form matrices are capped at n <= {MAX_YOR_N}, got n = {n}"
-        )
+def _yor_stacks(n: int, shapes, elements):
+    """Young's orthogonal form stacks of the given partitions of n at the
+    elements (an index of the element axis), yielded one at a time, each cut
+    before the next is filled.  All are filled from one level-at-a-time
+    walk of the module docstring: per level the children, their parents and
+    generators as index arrays, then stack[g * s] = stack[g] @ mats[s] as
+    one batched matmul per level.  The caller has checked the matrix cap."""
     group = cached_group(f"sym:{n}")
     pts = group.point_images()
     order, width = pts.shape
@@ -307,7 +307,6 @@ def _yor_stacks(n: int, shapes) -> list[np.ndarray]:
         seen[frontier] = True
         levels.append((frontier, parents, which))
     assert seen.all(), "generators do not generate the group"
-    stacks = []
     for lam in shapes:
         d = dimension(lam)
         mats = np.array([_yor_generator(lam, i) for i in range(gens)]).reshape(gens, d, d)
@@ -315,23 +314,15 @@ def _yor_stacks(n: int, shapes) -> list[np.ndarray]:
         stack[e] = np.eye(d)
         for kids, parents, which in levels:
             stack[kids] = stack[parents] @ mats[which]
-        stacks.append(stack)
-    return stacks
+        yield stack[elements]
 
 
 def young_orthogonal_rep(lam) -> Irrep:
     """The S_n irrep of shape lam in Young's orthogonal form."""
     lam = check_partition(lam)
-    n = sum(lam)
-    stack, = _yor_stacks(n, [lam])
-    return Irrep(cached_group(f"sym:{n}"), lam, stack)
-
-
-def sym_irreps(n: int) -> tuple[Irrep, ...]:
-    shapes = partitions(n)
-    stacks = _yor_stacks(n, shapes)
-    group = cached_group(f"sym:{n}")
-    return tuple(Irrep(group, lam, stack) for lam, stack in zip(shapes, stacks))
+    group = cached_group(f"sym:{sum(lam)}")
+    stack, = label_matrices(group, [lam], slice(None))
+    return Irrep(group, lam, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -369,29 +360,21 @@ def wreath_character(label, g: WreathElement) -> int:
     raise TypeError(f"not a wreath irrep label: {label!r}")
 
 
-def check_wreath_n(n: int) -> None:
-    """CapExceededError unless wreath:n is within the matrix cap MAX_WREATH_N."""
-    if n > MAX_WREATH_N:
-        raise CapExceededError(
-            f"wreath irrep matrices are capped at n <= {MAX_WREATH_N}, got n = {n}"
-        )
-
-
 def wreath_matrices(n: int, labels, elements) -> list[np.ndarray]:
-    """Each label's (len(elements), d, d) matrices at the given element
-    indices of W(n), in label order, by the block rules of the module
+    """Each label's matrices at the given elements (an index of the element
+    axis) of W(n), in label order, by the block rules of the module
     docstring, from one _yor_stacks walk for every partition of n."""
-    check_wreath_n(n)
     grp = cached_group(f"wreath:{n}")
+    check_matrix_cap(grp)
     # index (a * n! + b) * 2 + flip is ((alpha, beta), flip), with a and b
     # the sym:n indices of alpha and beta: the group's point_rank, which
     # must give every element its own index
     assert np.array_equal(grp.point_rank(grp.point_images()), np.arange(grp.order))
-    index = np.asarray(elements, dtype=np.int64)
+    index = np.arange(grp.order)[elements]
     a, b = np.divmod(index // 2, math.factorial(n))
     flip = index % 2
     parts = partitions(n)
-    sym = dict(zip(parts, _yor_stacks(n, parts)))
+    sym = dict(zip(parts, _yor_stacks(n, parts, slice(None))))
     out = []
     for lab in labels:
         if isinstance(lab, DiagonalLabel):
@@ -416,45 +399,40 @@ def wreath_matrices(n: int, labels, elements) -> list[np.ndarray]:
     return out
 
 
-def wreath_irreps(n: int) -> tuple[Irrep, ...]:
-    """All irreps of W(n) with explicit matrices, in irrep_labels order:
-    wreath_matrices at every element."""
-    check_wreath_n(n)
-    grp = cached_group(f"wreath:{n}")
-    labels = character_table(grp).labels
-    stacks = wreath_matrices(n, labels, range(grp.order))
-    out = tuple(Irrep(grp, lab, stack) for lab, stack in zip(labels, stacks))
-    assert sum(ir.dim**2 for ir in out) == grp.order
-    return out
-
-
-def label_irrep(group: FiniteGroup, label) -> Irrep:
-    """The irrep of one label of the group, with no other label's stack
-    built: young_orthogonal_rep for sym:n, wreath_matrices at every element
-    for wreath:n.  KeyError if the label is not one of the group's."""
-    character_table(group).position(label)
+def check_matrix_cap(group: FiniteGroup) -> None:
+    """CapExceededError unless the group is within its family's matrix cap:
+    n <= MAX_YOR_N for sym:n, n <= MAX_WREATH_N for wreath:n.  It reads n
+    alone, so it builds no element and no class."""
     if isinstance(group, SymmetricGroup):
-        return young_orthogonal_rep(label)
-    stack, = wreath_matrices(group.n, [label], range(group.order))
-    return Irrep(group, label, stack)
+        cap, what = MAX_YOR_N, "orthogonal-form"
+    else:
+        cap, what = MAX_WREATH_N, "wreath irrep"
+    if group.n > cap:
+        raise CapExceededError(
+            f"{what} matrices are capped at n <= {cap}, got n = {group.n}")
 
 
 def label_matrices(group: FiniteGroup, labels, elements) -> list[np.ndarray]:
-    """Each label's (len(elements), d, d) matrices at the given element
-    indices, in label order, with the bytes of those rows of its irrep's
-    stack: wreath_matrices for wreath:n; for sym:n each label's Young
-    orthogonal stack, built and cut one label at a time."""
+    """The one builder of irrep matrices: each label's (W, d, d) matrices at
+    the W elements that `elements` indexes on the element axis (a list of
+    indices, or slice(None) for the whole stack), in label order, after
+    check_matrix_cap.  For sym:n one Young walk fills the labels' stacks
+    one at a time, each cut at the elements before the next is built; for
+    wreath:n wreath_matrices builds the rows alone.  A row has the same
+    bytes in any element list and beside any other labels."""
+    check_matrix_cap(group)
     if isinstance(group, SymmetricGroup):
-        return [_yor_stacks(group.n, [lab])[0][elements] for lab in labels]
+        return list(_yor_stacks(group.n, labels, elements))
     return wreath_matrices(group.n, labels, elements)
 
 
 def group_irreps(group: FiniteGroup) -> tuple[Irrep, ...]:
-    if isinstance(group, SymmetricGroup):
-        return sym_irreps(group.n)
-    if isinstance(group, WreathGroup):
-        return wreath_irreps(group.n)
-    raise GroupMismatchError(f"unsupported group {group!r}")
+    """Every irrep of the group with its whole stack, in irrep_labels
+    order: label_matrices at every element."""
+    check_matrix_cap(group)
+    labels = character_table(group).labels
+    stacks = label_matrices(group, labels, slice(None))
+    return tuple(Irrep(group, lab, stack) for lab, stack in zip(labels, stacks))
 
 
 # ---------------------------------------------------------------------------

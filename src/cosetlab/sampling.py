@@ -68,6 +68,7 @@ from .irreps import (
     character_table,
     group_irreps,
     label_dim,
+    label_matrices,
     label_str,
 )
 from .parallel import wide_slices
@@ -291,10 +292,15 @@ def weak_dist_tuples(group: FiniteGroup, hidden: HiddenSubgroup,
     )
 
 
-def strong_dist(rep: Irrep, hidden: HiddenSubgroup,
+def strong_dist(group: FiniteGroup, label, hidden: HiddenSubgroup,
                 basis: MeasurementBasis) -> SamplingDistribution:
-    """Distribution of the measured basis vector inside one observed irrep."""
-    return _strong_stage("strong", (rep,), hidden, basis)
+    """Distribution of the measured basis vector inside the observed irrep
+    of this label: label_tuple_dist of the one register, whose matrix
+    label_matrices builds at the hidden m alone (none for the trivial
+    subgroup)."""
+    at_m = (None if hidden.trivial else
+            label_matrices(group, [label], [group.index(hidden.m)]))
+    return label_tuple_dist(group, [label], at_m, hidden, basis, "strong")
 
 
 def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
@@ -320,22 +326,14 @@ def projected_masses(projectors, basis: np.ndarray) -> np.ndarray:
 
 def multiregister_dist(registers: RegisterTuple, hidden: HiddenSubgroup,
                        basis: MeasurementBasis) -> SamplingDistribution:
-    """Strong measurement on the tensor product of k registers, one shared m."""
-    return _strong_stage("multiregister", registers.irreps, hidden, basis)
-
-
-def _strong_stage(context: str, irreps, hidden: HiddenSubgroup,
-                  basis: MeasurementBasis) -> SamplingDistribution:
-    """label_tuple_dist of the irreps, each read at the hidden m."""
-    group = irreps[0].group
-    at_m = None
-    if not hidden.trivial:
-        if group.spec != hidden.group.spec:
-            raise GroupMismatchError("rep and hidden subgroup live over different groups")
-        member = [group.index(hidden.m)]
-        at_m = [rep.stack[member] for rep in irreps]
-    return label_tuple_dist(group, [rep.label for rep in irreps], at_m, hidden, basis,
-                            context)
+    """Strong measurement on the tensor product of k registers, one shared
+    m: label_tuple_dist of the registers' labels, with each register's
+    stack read at the hidden m (no stack for the trivial subgroup)."""
+    group = registers.group
+    at_m = (None if hidden.trivial else
+            [rep.stack[[group.index(hidden.m)]] for rep in registers.irreps])
+    return label_tuple_dist(group, [rep.label for rep in registers.irreps], at_m,
+                            hidden, basis)
 
 
 def label_tuple_dist(group: FiniteGroup, labels, at_m, hidden: HiddenSubgroup,

@@ -268,7 +268,7 @@ def test_criterion_09_trivial_subgroup_control():
             for t in range(3):
                 basis = (MeasurementBasis.standard(rep.dim) if t == 0 else
                          MeasurementBasis.haar(rep.dim, CounterRng(59, "acc9", spec, t)))
-                sdist = strong_dist(rep, trivial, basis)
+                sdist = strong_dist(group, rep.label, trivial, basis)
                 assert all(p == Fraction(1, rep.dim) for p in sdist.exact_values())
         labels = irrep_labels(group)
         rng = CounterRng(61, "acc9", spec)

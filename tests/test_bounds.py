@@ -509,8 +509,8 @@ def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
         raise AssertionError("a Haar basis or an irrep stack was built")
 
     _refuse_bases(monkeypatch, refuse)
-    monkeypatch.setattr(bounds, "wreath_matrices", refuse)
-    monkeypatch.setattr(irreps, "wreath_matrices", refuse)
+    monkeypatch.setattr(bounds, "label_matrices", refuse)
+    monkeypatch.setattr(irreps, "label_matrices", refuse)
     # wreath:4 has an 18-dimensional irrep and 18^3 > 4096; n = 4 is sampled
     # mode, and the pipeline checks the cap once, before either enumeration
     with pytest.raises(CapExceededError, match="exceed tensor cap 4096"):
@@ -518,30 +518,29 @@ def test_sampled_enumeration_checks_tensor_cap_before_any_basis(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [2, 4])
-def test_pipeline_builds_matrices_only_for_the_control_and_at_the_members(monkeypatch, n):
+def test_pipeline_builds_matrices_only_at_the_members(monkeypatch, n):
     # n=2 runs exact_enumeration, n=4 sampled_enumeration.  No all-label
-    # stack is built: the control builds its one irrep at every element,
-    # the enumeration every label at the members of M only.
+    # stack is built: the enumeration builds every label at the members of
+    # M only, and the trivial control reads no matrix.
     def refuse(*args):
         raise AssertionError("a whole set of irrep stacks was built")
 
-    for name in ("group_irreps", "sym_irreps", "wreath_irreps"):
-        monkeypatch.setattr(irreps, name, refuse)
+    monkeypatch.setattr(irreps, "group_irreps", refuse)
     monkeypatch.setattr(bounds, "group_irreps", refuse, raising=False)
-    wreath_matrices = irreps.wreath_matrices
+    label_matrices = irreps.label_matrices
     calls = []
 
-    def recording(n, labels, elements):
+    def recording(group, labels, elements):
         calls.append((len(labels), len(elements)))
-        return wreath_matrices(n, labels, elements)
+        return label_matrices(group, labels, elements)
 
-    monkeypatch.setattr(irreps, "wreath_matrices", recording)
-    monkeypatch.setattr(bounds, "wreath_matrices", recording)
+    monkeypatch.setattr(irreps, "label_matrices", recording)
+    monkeypatch.setattr(bounds, "label_matrices", recording)
     report = bounds.theorem_pipeline(n, 1, seed=0, trials=1)
     g, M = _setup(n)
     assert report["mode"] == ("exact" if n == 2 else "sampled")
     assert report["control_trivial_tv"] == 0.0
-    assert calls == [(1, g.order), (len(irrep_labels(g)), M.size)]
+    assert calls == [(len(irrep_labels(g)), M.size)]
 
 
 def test_warm_sampled_pipeline_peaks_under_3_5_mb():

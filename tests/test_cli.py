@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cosetlab import cli, irreps, oracle, sampling
+from cosetlab import cli, groups, irreps, oracle, rng, sampling
 from cosetlab.cli import _LEMMAS, main
 from cosetlab.groups import cached_group, parse_cycles
 from cosetlab.irreps import CharacterTable, MatrixRep, character_table
@@ -91,25 +91,44 @@ def test_strong_zero_rank_exit3(capsys):
 
 def test_strong_needs_label(capsys):
     assert main(["sample", "--group", "sym:3", "--strong"]) == 2
+    # a usage error comes before the matrix cap
+    assert main(["sample", "--group", "sym:8", "--strong"]) == 2
+    assert capsys.readouterr().err.endswith("error: --strong needs --label\n")
 
 
 @pytest.mark.parametrize("group,label", [
     ("sym:3", "[2,1]"), ("wreath:2", "([2],+)"), ("wreath:3", "{[3],[2,1]}"),
 ])
 def test_strong_builds_only_its_labels_irrep(monkeypatch, capsys, group, label):
-    argv = ["sample", "--group", group, "--strong", "--label", label,
-            "--basis", "haar", "--seed", "2"]
-    assert main(argv) == 0
-    want = capsys.readouterr()
-
+    # same stdout with group_irreps refusing; the label's matrix is built
+    # once, at the hidden m alone, and not at all for the trivial subgroup
     def refuse(*args):
         raise AssertionError("every irrep stack of the group was built")
 
-    for name in ("group_irreps", "sym_irreps", "wreath_irreps"):
-        monkeypatch.setattr(irreps, name, refuse)
-    monkeypatch.setattr(cli, "group_irreps", refuse)
-    assert main(argv) == 0
-    assert capsys.readouterr() == want
+    label_matrices = irreps.label_matrices
+    calls = []
+
+    def recording(group, labels, elements):
+        calls.append((list(labels), list(elements)))
+        return label_matrices(group, labels, elements)
+
+    for extra, want_calls in (([], 1), (["--trivial"], 0)):
+        argv = ["sample", "--group", group, "--strong", "--label", label,
+                "--basis", "haar", "--seed", "2", *extra]
+        with monkeypatch.context() as patched:
+            assert main(argv) == 0
+            want = capsys.readouterr()
+            patched.setattr(irreps, "group_irreps", refuse)
+            patched.setattr(cli, "group_irreps", refuse)
+            patched.setattr(sampling, "group_irreps", refuse)
+            patched.setattr(sampling, "label_matrices", recording)
+            calls.clear()
+            assert main(argv) == 0
+            assert capsys.readouterr() == want
+        assert len(calls) == want_calls
+        for labels, elements in calls:
+            assert [irreps.label_str(lab) for lab in labels] == [label]
+            assert len(elements) == 1
 
 
 @pytest.mark.parametrize("group,label", [("sym:3", "[3,1]"), ("wreath:2", "[2]"),
@@ -153,8 +172,7 @@ def test_tuple_report_builds_matrices_only_at_the_hidden_m(monkeypatch, capsys, 
     def refuse(*args):
         raise AssertionError("every irrep stack of the group was built")
 
-    for name in ("group_irreps", "sym_irreps", "wreath_irreps"):
-        monkeypatch.setattr(irreps, name, refuse)
+    monkeypatch.setattr(irreps, "group_irreps", refuse)
     monkeypatch.setattr(cli, "group_irreps", refuse)
     label_matrices = irreps.label_matrices
     calls = []
@@ -183,6 +201,58 @@ def test_label_matrices_have_the_bytes_of_the_irrep_stacks():
         for rep, mats in zip(irreps.group_irreps(group),
                              irreps.label_matrices(group, labels, picks), strict=True):
             assert mats.tobytes() == rep.stack[picks].tobytes()
+
+
+def test_tuple_report_draws_no_basis_for_zero_rank_tuples(monkeypatch, capsys):
+    # wreath:4 has 20 labels, two of rank 0 at the swap class: 18 bases,
+    # with the bytes of a run that drew all 20
+    argv = ["sample", "--group", "wreath:4", "--k", "1", "--basis", "haar"]
+    assert main(argv) == 0
+    want = capsys.readouterr()
+    haar_bases = rng.haar_bases
+    drawn = []
+
+    def counting(streams, d):
+        drawn.append(len(streams))
+        return haar_bases(streams, d)
+
+    monkeypatch.setattr(rng, "haar_bases", counting)
+    assert main(argv) == 0
+    assert capsys.readouterr() == want
+    assert sum(drawn) == 18
+    assert sum(e["zero_rank"] for e in json.loads(want.out)["entries"]) == 2
+
+
+SYM8 = "error: orthogonal-form matrices are capped at n <= 7, got n = 8\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (["sample", "--group", "sym:8", "--k", "1"], SYM8),
+    (["sample", "--group", "sym:8", "--strong", "--label", "[8]"], SYM8),
+    (["sample", "--group", "wreath:5", "--k", "1"],
+     "error: wreath irrep matrices are capped at n <= 4, got n = 5\n"),
+    (["verify", "--lemma", "expectation", "--group", "sym:8", "--k", "1",
+      "--trials", "1"], SYM8),
+], ids=["sample-k", "sample-strong", "sample-wreath", "verify"])
+def test_the_matrix_cap_is_checked_before_any_class(monkeypatch, capsys, argv, err):
+    def refuse(self):
+        raise AssertionError("classes were built before the matrix cap check")
+
+    monkeypatch.setattr(groups.FiniteGroup, "conjugacy_classes", refuse)
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", err)
+
+
+def test_the_trivial_subgroup_reads_no_matrix_above_the_cap(capsys):
+    code, d = run_json(capsys, ["sample", "--group", "sym:8", "--trivial",
+                                "--strong", "--label", "[8]"])
+    assert code == 0
+    assert [(o["label"], o["exact"]) for o in d["outcomes"]] == [("b0", "1")]
+    code, d = run_json(capsys, ["sample", "--group", "sym:8", "--trivial", "--k", "1"])
+    assert code == 0 and d["weak_total"] == "1"
+    code, d = run_json(capsys, ["verify", "--lemma", "expected-decomp",
+                                "--group", "sym:8", "--k", "1"])
+    assert code == 0 and d["all_pass"]
 
 
 def test_sample_flag_conflicts(capsys):

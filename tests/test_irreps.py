@@ -9,6 +9,7 @@ from cosetlab.errors import (
     RepresentationDefectError,
 )
 from cosetlab.groups import (
+    FiniteGroup,
     Permutation,
     WreathGroup,
     cached_group,
@@ -24,12 +25,11 @@ from cosetlab.irreps import (
     group_irreps,
     irrep_labels,
     label_dim,
-    label_irrep,
+    label_matrices,
     label_str,
     parse_label,
     plancherel,
     wreath_character,
-    wreath_irreps,
     wreath_matrices,
     young_orthogonal_rep,
 )
@@ -96,9 +96,9 @@ def _fifo_stack(lam):
 
 @pytest.mark.parametrize("n", range(7))
 def test_level_fill_has_the_bits_of_a_fifo_walk(n):
-    # sym_irreps fills every partition from one walk, young_orthogonal_rep
+    # group_irreps fills every partition from one walk, young_orthogonal_rep
     # one partition from its own
-    for lam, rep in zip(partitions(n), irreps.sym_irreps(n)):
+    for lam, rep in zip(partitions(n), group_irreps(cached_group(f"sym:{n}"))):
         want = _fifo_stack(lam)
         assert rep.label == lam
         assert np.array_equal(rep.stack, want), lam
@@ -119,7 +119,7 @@ def test_sym0_and_sym1_edge_cases():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_wreath_irrep_dimensions(n):
-    irs = wreath_irreps(n)
+    irs = group_irreps(cached_group(f"wreath:{n}"))
     dims = sorted(ir.dim for ir in irs)
     if n == 2:
         assert dims == [1, 1, 1, 1, 2]
@@ -129,7 +129,7 @@ def test_wreath_irrep_dimensions(n):
 
 
 def _pair_stacks(n):
-    """wreath_irreps' stacks as they were built before wreath_matrices: the
+    """The wreath:n irrep stacks as they were built before wreath_matrices: the
     Kronecker products of every (alpha, beta) pair at once, flip 0 and flip 1
     interleaved.  Kept literally as a reference."""
     parts = partitions(n)
@@ -166,7 +166,7 @@ def _pair_stacks(n):
 @pytest.mark.parametrize("n", range(5))
 def test_wreath_irreps_have_the_bytes_of_the_pair_stacks(n):
     # tobytes, not array_equal: the signs of zeros match too
-    irs = wreath_irreps(n)
+    irs = group_irreps(cached_group(f"wreath:{n}"))
     want = _pair_stacks(n)
     assert len(irs) == len(want)
     for ir, stack in zip(irs, want):
@@ -176,7 +176,7 @@ def test_wreath_irreps_have_the_bytes_of_the_pair_stacks(n):
 @pytest.mark.parametrize("n", range(5))
 def test_wreath_matrices_rows_have_the_bytes_of_the_full_stacks(n):
     group = cached_group(f"wreath:{n}")
-    full = wreath_irreps(n)
+    full = group_irreps(group)
     labels = [ir.label for ir in full]
     pick = np.random.default_rng(n)
     members = [group.index(m) for m in involution_class(group).members] if n else [1]
@@ -203,22 +203,37 @@ def test_wreath_matrices_are_capped_before_any_group():
         wreath_matrices(5, [DiagonalLabel((5,), 1)], [0])
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("sym:8", "orthogonal-form matrices are capped at n <= 7, got n = 8"),
+    ("wreath:5", "wreath irrep matrices are capped at n <= 4, got n = 5"),
+])
+def test_every_builder_checks_the_matrix_cap_before_any_class(monkeypatch, spec,
+                                                               message):
+    def refuse(self):
+        raise AssertionError("classes were built before the matrix cap check")
+
+    monkeypatch.setattr(FiniteGroup, "conjugacy_classes", refuse)
+    group = cached_group(spec)
+    for build in (irreps.check_matrix_cap, group_irreps,
+                  lambda g: label_matrices(g, [], [0])):
+        with pytest.raises(CapExceededError, match=message):
+            build(group)
+
+
 @pytest.mark.parametrize("spec", [*(f"sym:{n}" for n in range(5)),
                                   *(f"wreath:{n}" for n in range(5))])
 def test_label_irrep_has_the_bytes_of_group_irreps(spec):
+    # one label's irrep built alone by label_matrices, as `sample --strong`
+    # builds it, has the bytes of that label's stack among all the labels
     group = cached_group(spec)
     for ir in group_irreps(group):
-        one = label_irrep(group, ir.label)
-        assert one.label == ir.label and one.group.spec == spec
-        assert one.stack.tobytes() == ir.stack.tobytes()
-    foreign = DiagonalLabel((1,), 1) if spec.startswith("sym") else (1,)
-    with pytest.raises(KeyError):
-        label_irrep(group, foreign)
+        one, = label_matrices(group, [ir.label], range(group.order))
+        assert one.tobytes() == ir.stack.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_wreath_irreps_pass_all_checks(n):
-    for ir in wreath_irreps(n):
+    for ir in group_irreps(cached_group(f"wreath:{n}")):
         ir.check()
         assert ir.dim == label_dim(ir.label)
 
@@ -367,7 +382,7 @@ def test_rep_check_detects_broken_homomorphism():
 def test_rep_check_finds_a_defect_at_any_element():
     # Conjugating one entry by an orthogonal q keeps it orthogonal with the
     # same trace, but breaks the homomorphism at that element only.
-    ir = next(ir for ir in wreath_irreps(4) if ir.name == "{[3,1],[2,1,1]}")
+    ir = next(ir for ir in group_irreps(cached_group("wreath:4")) if ir.name == "{[3,1],[2,1,1]}")
     q, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((ir.dim, ir.dim)))
     broken = ir.stack.copy()
     broken[281] = q @ broken[281] @ q.T

@@ -9,7 +9,7 @@ from cosetlab.groups import WreathElement, cached_group, parse_cycles
 from cosetlab.irreps import (
     class_character,
     character_table,
-    wreath_irreps,
+    group_irreps,
     young_orthogonal_rep,
 )
 from cosetlab.oracle import (
@@ -55,7 +55,7 @@ def test_rebuilt_matrix_matches_stack_sym():
 
 
 def test_rebuilt_matrix_matches_stack_wreath():
-    for ir in wreath_irreps(2):
+    for ir in group_irreps(cached_group("wreath:2")):
         for g in ir.group.elements:
             assert np.allclose(rebuilt_matrix(ir, g), ir.matrix(g), atol=1e-12)
 
@@ -65,7 +65,7 @@ def test_rebuilt_matrix_rejects_an_element_of_another_group():
     with pytest.raises(GroupMismatchError):
         rebuilt_matrix(rep, parse_cycles("(01)", 4))
     with pytest.raises(GroupMismatchError):
-        rebuilt_matrix(wreath_irreps(3)[0], WreathElement.swap(2))
+        rebuilt_matrix(group_irreps(cached_group("wreath:3"))[0], WreathElement.swap(2))
 
 
 def test_overlap_trivial_rep_is_one():

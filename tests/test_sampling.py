@@ -272,7 +272,7 @@ def test_strong_trivial_uniform_every_basis():
         MeasurementBasis.standard(2),
         MeasurementBasis.haar(2, CounterRng(3, "strong")),
     ):
-        dist = strong_dist(rep, HiddenSubgroup(S3), basis)
+        dist = strong_dist(S3, rep.label, HiddenSubgroup(S3), basis)
         assert dist.exact
         assert all(p == Fraction(1, 2) for p in dist.exact_values())
 
@@ -281,12 +281,14 @@ def test_strong_zero_rank_raises():
     rep = group_irreps(S3)[2]
     assert rep.name == "[1,1,1]"
     with pytest.raises(ZeroRankError):
-        strong_dist(rep, transposition_subgroup(S3), MeasurementBasis.standard(1))
+        strong_dist(S3, rep.label, transposition_subgroup(S3),
+                    MeasurementBasis.standard(1))
 
 
 def test_strong_standard_rep_pinned_values():
     rep = group_irreps(S3)[1]
-    dist = strong_dist(rep, transposition_subgroup(S3), MeasurementBasis.standard(2))
+    dist = strong_dist(S3, rep.label, transposition_subgroup(S3),
+                       MeasurementBasis.standard(2))
     # Pi for (01) is diag(1, 0) in the orthogonal model, rank 1.
     assert dist.probability("b0") == pytest.approx(1.0, abs=1e-12)
     assert dist.probability("b1") == pytest.approx(0.0, abs=1e-12)
@@ -300,7 +302,7 @@ def test_strong_matches_rebuilt_matrices():
             if rank == 0:
                 continue
             basis = MeasurementBasis.haar(rep.dim, rng.sub(group.spec, rep.name))
-            dist = strong_dist(rep, hidden, basis)
+            dist = strong_dist(group, rep.label, hidden, basis)
             proj = 0.5 * (np.eye(rep.dim) + oracle.rebuilt_matrix(rep, hidden.m))
             for j in range(rep.dim):
                 mass = np.linalg.norm(proj @ basis.column(j)) ** 2
@@ -356,7 +358,7 @@ def test_multiregister_k1_equals_strong():
     rep = group_irreps(S4)[1]
     basis = MeasurementBasis.haar(rep.dim, CounterRng(2, "k1"))
     tup = RegisterTuple((rep,))
-    a = strong_dist(rep, hidden, basis)
+    a = strong_dist(S4, rep.label, hidden, basis)
     b = multiregister_dist(tup, hidden, basis)
     assert np.array_equal(a.values(), b.values())
 
